@@ -6,15 +6,17 @@ b for every representative pair (a, b) of a residue class with
 (zero counts as nonpositive).  Distinct representatives of one class
 give parallel edges with distinct labels but the same endpoints.
 
-Operator words act on the right, so words apply left to right.
+Operator words act on the right, so words apply left to right.  Path
+counts, path lists and the K function are read off the interval's Hasse
+DAG (see interval.py), built from out_edges once per vertex.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from . import combinat, qsym
+from . import qsym
 from .affineperm import AffinePermutation, is_grassmannian, length_affine
 from .errors import BadPair, CapExceeded, NotGrassmannian, PatternMismatch
+from .interval import HasseDAG
 
 DEFAULT_CAP = 10**6
 
@@ -169,7 +171,7 @@ class AffinePath:
         return self.edges[-1].target if self.edges else self.start
 
 
-def _backward_layers(u, w, budget, cap):
+def _backward_layers(w, budget, cap):
     """Vertex sets that can still reach w in exactly j steps, j = 0..budget."""
     layers = [{w}]
     total = 1
@@ -185,7 +187,14 @@ def _backward_layers(u, w, budget, cap):
     return layers
 
 
-def _interval_setup(u, w, restrict_grassmannian, cap):
+def interval_dag(u: AffinePermutation, w: AffinePermutation,
+                 cap: int = DEFAULT_CAP, restrict_grassmannian: bool = True) -> HasseDAG:
+    """The Hasse DAG of [u, w]; steps are AffineEdges labeled b.
+
+    A backward sweep from w first finds the vertices that can still
+    reach it, at most cap of them; out_edges is then called once for
+    every vertex reached forward from u inside that set.
+    """
     if u.k != w.k:
         raise BadPair(f"k mismatch: {u.k} vs {w.k}")
     if restrict_grassmannian:
@@ -194,12 +203,16 @@ def _interval_setup(u, w, restrict_grassmannian, cap):
         if not is_grassmannian(w):
             raise NotGrassmannian(f"{w.text()} is not 0-grassmannian")
     budget = length_affine(w) - length_affine(u)
-    if budget < 0:
-        return budget, None
-    layers = _backward_layers(u, w, budget, cap)
-    if u not in layers[budget]:
-        return budget, None
-    return budget, layers
+    layers = _backward_layers(w, budget, cap) if budget >= 0 else None
+    if layers is None or u not in layers[budget]:
+        return HasseDAG(u, w, -1, None)
+
+    def steps(x, depth):
+        allowed = layers[budget - depth - 1]
+        return [(e, e.b, e.target) for e in sorted(out_edges(x), key=lambda e: (e.a, e.b))
+                if e.target in allowed]
+
+    return HasseDAG(u, w, budget, steps)
 
 
 def paths(u: AffinePermutation, w: AffinePermutation,
@@ -207,133 +220,30 @@ def paths(u: AffinePermutation, w: AffinePermutation,
           restrict_grassmannian: bool = True) -> list[AffinePath]:
     """All paths from u to w, sorted lexicographically by step pairs.
 
-    The search is pruned to vertices that can still reach w, computed by
-    a backward sweep, so the cost is proportional to the interval and
-    not to the full out-fan of the graph.
+    Raises CapExceeded when the backward sweep meets more than cap
+    vertices or, before listing anything, when there are more than cap
+    paths.  `threads` is accepted for compatibility and ignored.
     """
-    budget, layers = _interval_setup(u, w, restrict_grassmannian, cap)
-    if layers is None:
-        return []
-    if budget == 0:
-        return [AffinePath(u, ())]
-
-    def dfs(x, depth, acc, sink):
-        allowed = layers[budget - depth - 1]
-        for e in out_edges(x):
-            if e.target not in allowed:
-                continue
-            acc.append(e)
-            if depth + 1 == budget:
-                sink.append(tuple(acc))
-                if len(sink) > cap:
-                    raise CapExceeded(f"path cap {cap} exceeded")
-            else:
-                dfs(e.target, depth + 1, acc, sink)
-            acc.pop()
-
-    first = [e for e in out_edges(u) if e.target in layers[budget - 1]]
-    if threads > 1 and len(first) > 1:
-        def branch(edge):
-            sink = []
-            if budget == 1:
-                return [(edge,)]
-            dfs(edge.target, 1, [edge], sink)
-            return sink
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(branch, first))
-        found = [p for chunk in chunks for p in chunk]
-        if len(found) > cap:
-            raise CapExceeded(f"path cap {cap} exceeded")
-    else:
-        found = []
-        dfs(u, 0, [], found)
-    found.sort(key=lambda es: [(e.a, e.b) for e in es])
-    return [AffinePath(u, es) for es in found]
+    dag = interval_dag(u, w, cap, restrict_grassmannian)
+    dag.check_cap(cap, "path")
+    return [AffinePath(u, edges) for edges in dag.walks()]
 
 
 def path_count(u: AffinePermutation, w: AffinePermutation,
                cap: int = DEFAULT_CAP,
                restrict_grassmannian: bool = True) -> int:
-    """Number of paths from u to w, by layered counting without materializing."""
-    budget, layers = _interval_setup(u, w, restrict_grassmannian, cap)
-    if layers is None:
-        return 0
-    counts = {u: 1}
-    for depth in range(budget):
-        allowed = layers[budget - depth - 1]
-        nxt: dict[AffinePermutation, int] = {}
-        for x, c in counts.items():
-            for e in out_edges(x):
-                if e.target in allowed:
-                    nxt[e.target] = nxt.get(e.target, 0) + c
-        counts = nxt
-    return counts.get(w, 0)
+    """Number of paths from u to w; the cap bounds only the vertex sweep."""
+    return interval_dag(u, w, cap, restrict_grassmannian).count()
 
 
 def k_function_affine(u: AffinePermutation, w: AffinePermutation,
-                      cap: int = DEFAULT_CAP, threads: int = 1,
-                      method: str = "paths") -> qsym.QuasiSymFn:
-    """The interval's quasisymmetric chain function, in the F basis.
-
-    method="paths" sums F over the descent compositions of the label
-    sequences.  method="dp" counts, for every composition, the chains
-    that split into strictly increasing label runs of those sizes; that
-    gives the same function through the monomial basis but never
-    materializes paths.
-    """
-    if method == "dp":
-        return qsym.m_to_f(_k_function_dp(u, w, cap))
-    if method != "paths":
-        raise ValueError(f"unknown method {method!r}")
-    terms: dict[tuple[int, ...], int] = {}
-    for p in paths(u, w, cap=cap, threads=threads):
-        d = combinat.descent_composition(p.labels) if p.edges else ()
-        terms[d] = terms.get(d, 0) + 1
-    return qsym.QuasiSymFn(qsym.F, terms)
-
-
-def _k_function_dp(u, w, cap):
-    budget, layers = _interval_setup(u, w, True, cap)
-    if layers is None or budget == 0:
-        terms = {(): 1} if layers is not None else {}
-        return qsym.QuasiSymFn(qsym.M, terms)
-
-    run_cache: dict = {}
-
-    def run_targets(x, depth, m):
-        """Endpoint counts of strictly increasing m-label runs from x at depth."""
-        key = (x, depth, m)
-        if key in run_cache:
-            return run_cache[key]
-        acc: dict[AffinePermutation, int] = {}
-
-        def go(y, d, last, left):
-            if left == 0:
-                acc[y] = acc.get(y, 0) + 1
-                return
-            allowed = layers[budget - d - 1]
-            for e in out_edges(y):
-                if e.target in allowed and (last is None or e.label > last):
-                    go(e.target, d + 1, e.label, left - 1)
-
-        go(x, depth, None, m)
-        run_cache[key] = acc
-        return acc
-
-    terms: dict[tuple[int, ...], int] = {}
-    for alpha in combinat.compositions_of(budget):
-        state = {u: 1}
-        depth = 0
-        for part in alpha:
-            nxt: dict[AffinePermutation, int] = {}
-            for x, c in state.items():
-                for y, ways in run_targets(x, depth, part).items():
-                    nxt[y] = nxt.get(y, 0) + c * ways
-            state = nxt
-            depth += part
-        if state.get(w):
-            terms[alpha] = state[w]
-    return qsym.QuasiSymFn(qsym.M, terms)
+                      cap: int = DEFAULT_CAP, threads: int = 1) -> qsym.QuasiSymFn:
+    """The interval's chain function: F summed over the paths' descent
+    compositions, by DP without listing paths.  Caps as in paths;
+    `threads` is ignored."""
+    dag = interval_dag(u, w, cap)
+    dag.check_cap(cap, "path")
+    return dag.k_function()
 
 
 def dual_pieri(u: AffinePermutation, m: int) -> list[AffinePermutation]:

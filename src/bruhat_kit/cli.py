@@ -64,7 +64,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit structured output")
     p.add_argument("--cap", type=int, default=rbruhat.DEFAULT_CAP,
                    help="enumeration cap (default 10^6)")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and ignored")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
 
 
@@ -129,15 +130,16 @@ def _emit(args, payload: dict, human_lines) -> None:
 def _run_rbruhat(args) -> int:
     zeta = rbruhat.parse_permutation(args.zeta)
     u, w, r = rbruhat.interval_from_zeta(zeta)
-    chains = rbruhat.all_chains(u, w, r, cap=args.cap, threads=args.threads)
-    kf = rbruhat.k_function_r(u, w, r, cap=args.cap, threads=args.threads)
+    chains = rbruhat.all_chains(u, w, r, cap=args.cap)
+    kf = rbruhat.k_function_r(u, w, r, cap=args.cap)
+    count = len(chains)
     lines = [f"r = {r}",
              f"u = {u.one_line()}",
              f"w = {w.one_line()}",
-             f"chains: {len(chains)}",
+             f"chains: {count}",
              f"K_F = {fmt_qsym(kf)}"]
     payload = {"verb": "rbruhat", "r": r, "u": list(u.images), "w": list(w.images),
-               "chain_count": len(chains), "K_F": kf.to_json()}
+               "chain_count": count, "K_F": kf.to_json()}
     if args.chains:
         rendered = [f"{c.render_steps()}  |  {c.render_word()}" for c in chains]
         lines += ["chain list:"] + ["  " + s for s in rendered]
@@ -154,11 +156,15 @@ def _run_affine(args) -> int:
     u = affineperm.parse_window(args.u, args.k)
     w = affineperm.parse_window(args.w, args.k)
     rank = affineperm.length_affine(w) - affineperm.length_affine(u)
-    count = affinegraph.path_count(u, w, cap=args.cap)
+    if args.count_only:
+        count = affinegraph.path_count(u, w, cap=args.cap)
+    else:
+        found = affinegraph.paths(u, w, cap=args.cap)
+        count = len(found)
     lines = [f"rank = {rank}", f"paths: {count}"]
     payload = {"verb": "affine", "rank": rank, "path_count": count}
     if not args.count_only:
-        kf = affinegraph.k_function_affine(u, w, cap=args.cap, threads=args.threads)
+        kf = qsym.f_sum(p.labels for p in found)
         ks = qsym.schur_expand(kf)
         lines += [f"K_F = {fmt_qsym(kf)}", f"K_S = {fmt_sym(ks)}"]
         payload["K_F"] = kf.to_json()
@@ -183,7 +189,7 @@ def _run_weak(args) -> int:
 
 
 def _run_kschur(args) -> int:
-    km = kschur.k_matrix(args.k, args.degree, threads=args.threads)
+    km = kschur.k_matrix(args.k, args.degree)
     lines = []
     payload = {"verb": "kschur", "k": args.k, "degree": args.degree}
     if args.matrix or not args.invert:

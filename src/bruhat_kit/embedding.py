@@ -148,7 +148,8 @@ def verify_embedding(e: EmbeddingData, cap: int = rbruhat.DEFAULT_CAP,
     common = len(endpoints) == 1 and (not chains or endpoints == {e.v})
     k_schub = rbruhat.k_function_r(x, y, r, cap=cap)
     if check_domination:
-        k_aff = affinegraph.k_function_affine(e.u, e.v, cap=cap, method="dp")
+        # the cap bounds the affine vertex sweep only, never the path count
+        k_aff = affinegraph.interval_dag(e.u, e.v, cap).k_function()
         dominated = k_aff.dominates(k_schub)
     else:
         k_aff = qsym.QuasiSymFn(qsym.F, {})

@@ -56,3 +56,7 @@ class PatternMismatch(BruhatKitError):
 
 class NotGrassmannianResult(BruhatKitError):
     """Internal consistency failure: a construction promised a 0-grassmannian."""
+
+
+class NotUnitriangular(BruhatKitError):
+    """Internal consistency failure: the Pieri matrix lost its unit triangle."""

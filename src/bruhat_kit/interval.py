@@ -1,0 +1,104 @@
+"""The Hasse DAG of a graded interval, and the chain functions read off it.
+
+An adapter supplies the out-steps of a vertex; the DAG asks for them once
+per vertex, rank by rank from the start, then prunes what cannot reach
+the end.  The chain count and the F-basis chain function K come from
+dynamic programs over the layers; chains are listed only on request.
+"""
+
+from . import qsym
+from .errors import CapExceeded
+
+
+class HasseDAG:
+    """The saturated chains of [start, end] as a layered DAG.
+
+    `out_steps(x, depth)` returns the steps leaving a vertex x of the
+    given depth as (step, label, target) triples, in the order in which
+    chains are to be listed.  A negative rank gives the empty interval.
+    """
+
+    __slots__ = ("start", "end", "rank", "layers", "succ")
+
+    def __init__(self, start, end, rank: int, out_steps):
+        self.start, self.end, self.rank = start, end, rank
+        self.succ = {}
+        if rank < 0:
+            self.layers = [[]]
+            return
+        layers = [[start]]
+        for depth in range(rank):
+            reached = {}
+            for x in layers[-1]:
+                steps = self.succ[x] = list(out_steps(x, depth))
+                for _, _, y in steps:
+                    reached[y] = None
+            layers.append(list(reached))
+        # keep only what lies on a chain to end, walking back from it
+        layers[-1] = [end] if end in layers[-1] else []
+        alive = set(layers[-1])
+        for layer in reversed(layers[:-1]):
+            for x in layer:
+                self.succ[x] = [s for s in self.succ[x] if s[2] in alive]
+            layer[:] = [x for x in layer if self.succ[x]]
+            alive = set(layer)
+        self.layers = layers
+
+    def count(self) -> int:
+        """Number of saturated chains, by a forward DP over the layers."""
+        ways = dict.fromkeys(self.layers[0], 1)
+        for layer in self.layers[:-1]:
+            for x in layer:
+                for _, _, y in self.succ[x]:
+                    ways[y] = ways.get(y, 0) + ways[x]
+        return ways.get(self.end, 0)
+
+    def check_cap(self, cap: int, noun: str) -> None:
+        """Raise CapExceeded when more than cap chains of positive rank exist."""
+        if self.rank > 0 and self.count() > cap:
+            raise CapExceeded(f"{noun} cap {cap} exceeded")
+
+    def k_function(self) -> qsym.QuasiSymFn:
+        """Sum of F over the descent compositions of the chains' label sequences.
+
+        The DP state at a vertex maps (last label, descent composition so
+        far) to the number of partial chains that reach it that way; a
+        strict descent starts a new part, anything else grows the last one.
+        """
+        if not self.layers[0]:
+            return qsym.QuasiSymFn(qsym.F, {})
+        states = {self.start: {(None, ()): 1}}
+        for layer in self.layers[:-1]:
+            for x in layer:
+                here = states.pop(x)
+                for _, label, y in self.succ[x]:
+                    there = states.setdefault(y, {})
+                    for (last, comp), c in here.items():
+                        if last is None or last > label:
+                            key = (label, comp + (1,))
+                        else:
+                            key = (label, comp[:-1] + (comp[-1] + 1,))
+                        there[key] = there.get(key, 0) + c
+        terms: dict[tuple[int, ...], int] = {}
+        for (_, comp), c in states[self.end].items():
+            terms[comp] = terms.get(comp, 0) + c
+        return qsym.QuasiSymFn(qsym.F, terms)
+
+    def walks(self) -> list[tuple]:
+        """Every chain as a tuple of steps, in the order out_steps lists them."""
+        if not self.layers[0]:
+            return []
+        found = []
+        acc = []
+
+        def go(x):
+            if len(acc) == self.rank:
+                found.append(tuple(acc))
+                return
+            for step, _, y in self.succ[x]:
+                acc.append(step)
+                go(y)
+                acc.pop()
+
+        go(self.start)
+        return found

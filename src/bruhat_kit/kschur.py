@@ -14,7 +14,7 @@ from . import combinat, qsym
 from .affineperm import (AffinePermutation, is_grassmannian, kbounded_from_core,
                          length_affine, to_core)
 from .combinat import Partition
-from .errors import MOutOfRange, NotGrassmannian
+from .errors import MOutOfRange, NotGrassmannian, NotUnitriangular
 
 
 def weak_covers(u: AffinePermutation) -> list[tuple[int, AffinePermutation]]:
@@ -154,21 +154,15 @@ def _h_action(k: int, lam) -> dict[AffinePermutation, int]:
 def k_matrix(k: int, degree: int, threads: int = 1) -> KMatrix:
     """The triangular matrix linking h products to iterated Pieri endpoints.
 
-    Rows are independent iterated-Pieri runs, so they may be computed by
-    a worker pool; the row order of the result does not depend on it.
+    Each row is one iterated-Pieri run.  `threads` is accepted for
+    compatibility and ignored.
     """
     rows = sorted(combinat.partitions_of(degree, max_part=k), key=_partition_sort_key)
     by_partition = {kbounded_of(u): u for u in grassmannians_of_length(k, degree)}
     columns = [by_partition[lam] for lam in rows]
-    if threads > 1 and len(rows) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            actions = list(pool.map(lambda lam: _h_action(k, lam), rows))
-    else:
-        actions = [_h_action(k, lam) for lam in rows]
     entries: dict[tuple[Partition, AffinePermutation], int] = {}
-    for lam, action in zip(rows, actions):
-        for u, c in action.items():
+    for lam in rows:
+        for u, c in _h_action(k, lam).items():
             entries[lam, u] = c
     return KMatrix(k, degree, rows, columns, entries)
 
@@ -184,7 +178,8 @@ def kschur_in_h(u: AffinePermutation) -> qsym.SymFn:
     if d == 0:
         return qsym.SymFn("h", {(): 1})
     km = k_matrix(u.k, d)
-    assert km.is_unitriangular(), "Pieri matrix lost triangularity"
+    if not km.is_unitriangular():
+        raise NotUnitriangular(f"Pieri matrix at k={u.k}, degree {d} is not unitriangular")
     target = kbounded_of(u)
     exprs: dict[Partition, qsym.SymFn] = {}
     for i, lam in enumerate(km.rows):
@@ -194,7 +189,6 @@ def kschur_in_h(u: AffinePermutation) -> qsym.SymFn:
             c = km.entry(lam, km.columns[j])
             if c:
                 expr = expr - c * exprs[mu]
-        assert km.entry(lam, km.columns[i]) == 1, "matrix is not unitriangular"
         exprs[lam] = expr
     return exprs[target]
 

@@ -140,6 +140,15 @@ class SymFn:
         }
 
 
+def f_sum(label_sequences) -> QuasiSymFn:
+    """Sum of F over the descent compositions of the given label sequences."""
+    terms: dict[Composition, int] = {}
+    for labels in label_sequences:
+        d = combinat.descent_composition(labels) if labels else ()
+        terms[d] = terms.get(d, 0) + 1
+    return QuasiSymFn(F, terms)
+
+
 def m_to_f(q: QuasiSymFn) -> QuasiSymFn:
     """Re-express an M-basis function in the F basis.
 

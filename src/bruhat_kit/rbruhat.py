@@ -2,16 +2,18 @@
 
 A cover in the r-Bruhat order swaps two values a < b sitting on either
 side of position r while raising the length by one; the edge label is b.
-Chains are stored in application order (first step first).  Rendered
-operator words follow the right-to-left convention, so the displayed
-word lists the last step first.
+The chains of an interval are read off its Hasse DAG (see interval.py),
+for which this module supplies the covers.  Chains are stored in
+application order (first step first).  Rendered operator words follow
+the right-to-left convention, so the displayed word lists the last step
+first.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import combinat, qsym
+from . import qsym
 from .errors import CapExceeded, EmptyInterval, IdentityInput
+from .interval import HasseDAG
 
 DEFAULT_CAP = 10**6
 
@@ -93,6 +95,13 @@ def swap_values(u: FinitePermutation, a: int, b: int) -> FinitePermutation:
     return FinitePermutation(im)
 
 
+def is_cover(u: FinitePermutation, a: int, b: int) -> bool:
+    """True when swapping the values a < b raises the length by exactly one:
+    a stands left of b and no value between them stands between them."""
+    pa, pb = u.position(a), u.position(b)
+    return pa < pb and not any(a < u(p) < b for p in range(pa + 1, pb))
+
+
 def apply_u(u: FinitePermutation, a: int, b: int, r: int):
     """One r-Bruhat cover step: swap values a < b across position r.
 
@@ -101,13 +110,9 @@ def apply_u(u: FinitePermutation, a: int, b: int, r: int):
     """
     if not a < b:
         raise ValueError("need a < b")
-    pa, pb = u.position(a), u.position(b)
-    if not (pa <= r < pb):
+    if not (u.position(a) <= r < u.position(b)) or not is_cover(u, a, b):
         return None
-    w = swap_values(u, a, b)
-    if length(w) != length(u) + 1:
-        return None
-    return w
+    return swap_values(u, a, b)
 
 
 @dataclass(frozen=True)
@@ -193,79 +198,47 @@ def first_chain(u: FinitePermutation, w: FinitePermutation, r: int) -> SchubertC
 
 
 def _cover_steps(x: FinitePermutation, w: FinitePermutation, r: int, n: int):
-    """Cover steps from x staying entrywise between x and w (split at r)."""
-    out = []
-    for i in range(1, r + 1):
-        a = x(i)
-        if a >= w(i):
-            continue
-        for j in range(r + 1, n + 1):
-            b = x(j)
-            if b <= a or a < w(j):
-                continue
-            # position i gains b, position j drops to a: stay under/over w
-            if b > w(i):
-                continue
-            if length(swap_values(x, a, b)) == length(x) + 1:
-                out.append((a, b))
-    return out
+    """Sorted cover steps (a, b) from x that stay entrywise between x and w.
+
+    Position i <= r gains b and position j > r drops to a, so b <= w(i)
+    and a >= w(j).
+    """
+    return sorted((x(i), x(j)) for i in range(1, r + 1) for j in range(r + 1, n + 1)
+                  if x(i) < x(j) <= w(i) and x(i) >= w(j) and is_cover(x, x(i), x(j)))
+
+
+def interval_dag(u: FinitePermutation, w: FinitePermutation, r: int) -> HasseDAG:
+    """The Hasse DAG of [u, w]_r; steps are (a, b) pairs labeled b.
+
+    The rewrite relations are deliberately not used here so they stay an
+    independent check on the chain set.
+    """
+    n = max(len(u.images), len(w.images), r + 1)
+    budget = length(w) - length(u)
+    if any(u(i) > w(i) for i in range(1, r + 1)) or \
+       any(u(j) < w(j) for j in range(r + 1, n + 1)):
+        budget = -1
+    return HasseDAG(u, w, budget, lambda x, _: [((a, b), b, swap_values(x, a, b))
+                                                for a, b in _cover_steps(x, w, r, n)])
 
 
 def all_chains(u: FinitePermutation, w: FinitePermutation, r: int,
                cap: int = DEFAULT_CAP, threads: int = 1) -> list[SchubertChain]:
     """Every saturated chain of [u, w]_r, sorted lexicographically by steps.
 
-    Enumerates by depth-first search over covers; the rewrite relations
-    are deliberately not used here so they stay an independent check.
+    Raises CapExceeded before listing anything when there are more than
+    cap chains.  `threads` is accepted for compatibility and ignored.
     """
-    n = max(len(u.images), len(w.images), r + 1)
-    budget = length(w) - length(u)
-    if budget < 0:
-        return []
-    if any(u(i) > w(i) for i in range(1, r + 1)) or \
-       any(u(j) < w(j) for j in range(r + 1, n + 1)):
-        return []
-    if budget == 0:
-        return [SchubertChain(u, ())] if u == w else []
-
-    def dfs(x, depth, acc, sink):
-        if depth == budget:
-            if x == w:
-                sink.append(tuple(acc))
-                if len(sink) > cap:
-                    raise CapExceeded(f"chain cap {cap} exceeded")
-            return
-        for a, b in _cover_steps(x, w, r, n):
-            acc.append((a, b))
-            dfs(swap_values(x, a, b), depth + 1, acc, sink)
-            acc.pop()
-
-    first = _cover_steps(u, w, r, n)
-    if threads > 1 and len(first) > 1:
-        def branch(step):
-            sink = []
-            dfs(swap_values(u, *step), 1, [step], sink)
-            return sink
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(branch, first))
-        words = [wd for chunk in chunks for wd in chunk]
-        if len(words) > cap:
-            raise CapExceeded(f"chain cap {cap} exceeded")
-    else:
-        words = []
-        dfs(u, 0, [], words)
-    return [SchubertChain(u, wd) for wd in sorted(words)]
+    dag = interval_dag(u, w, r)
+    dag.check_cap(cap, "chain")
+    return [SchubertChain(u, steps) for steps in dag.walks()]
 
 
 def k_function_r(u: FinitePermutation, w: FinitePermutation, r: int,
                  cap: int = DEFAULT_CAP, threads: int = 1) -> qsym.QuasiSymFn:
-    """Sum of F over the descent compositions of all chain label sequences."""
-    chains = all_chains(u, w, r, cap=cap, threads=threads)
-    terms: dict[tuple[int, ...], int] = {}
-    for c in chains:
-        d = combinat.descent_composition(c.labels) if c.steps else ()
-        terms[d] = terms.get(d, 0) + 1
-    return qsym.QuasiSymFn(qsym.F, terms)
+    """Sum of F over the descent compositions of all chain label sequences.
+    Cap as in all_chains; `threads` is accepted for compatibility and ignored."""
+    return qsym.f_sum(c.labels for c in all_chains(u, w, r, cap=cap))
 
 
 # Rewrite rules on step words (application order).  The three-letter

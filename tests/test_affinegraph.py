@@ -115,7 +115,7 @@ def test_k_function_affine_example():
     kf = affinegraph.k_function_affine(U41, W41)
     assert kf.terms == {(1, 1, 1, 1): 9, (1, 1, 2): 30, (1, 2, 1): 51,
                         (1, 3): 30, (2, 1, 1): 30, (2, 2): 51, (3, 1): 30, (4,): 9}
-    assert affinegraph.k_function_affine(U41, W41, method="dp") == kf
+    assert kf.terms == brute_k_terms(brute_paths(U41, W41, 4))
     assert qsym.schur_expand(kf).terms == {(4,): 9, (3, 1): 30, (2, 2): 21,
                                            (2, 1, 1): 30, (1, 1, 1, 1): 9}
     assert affinegraph.k_function_affine(U41, U41).terms == {(): 1}
@@ -167,6 +167,19 @@ def brute_paths(u, w, budget):
     return sorted(out)
 
 
+def brute_k_terms(step_words):
+    # F-basis terms: one F per path, indexed by the runs between label descents
+    terms = Counter()
+    for word in step_words:
+        runs = []
+        for i, (_, b) in enumerate(word):
+            if i == 0 or word[i - 1][1] > b:
+                runs.append(0)
+            runs[-1] += 1
+        terms[tuple(runs)] += 1
+    return dict(terms)
+
+
 def test_paths_against_bruteforce():
     rng = random.Random(31337)
     for _ in range(20):
@@ -179,8 +192,7 @@ def test_paths_against_bruteforce():
         expect = brute_paths(u, w, budget)
         assert [p.steps for p in affinegraph.paths(u, w)] == expect
         assert affinegraph.path_count(u, w) == len(expect)
-        assert affinegraph.k_function_affine(u, w, method="paths") == \
-            affinegraph.k_function_affine(u, w, method="dp")
+        assert affinegraph.k_function_affine(u, w).terms == brute_k_terms(expect)
 
 
 def test_check_relation_c2_witness():

@@ -112,3 +112,17 @@ def test_kschur_verb(capsys):
     assert code == 0
     assert "S^(2)[2,4,0] = h[2,1]" in out
     assert "S^(2)[4,0,2] = -h[2,1] + h[1,1,1]" in out
+
+
+@pytest.mark.parametrize("argv, passing_cap", [
+    (["rbruhat", "--zeta", "3 6 2 5 4 1"], 8),
+    (["affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]", "--w", "[8,-6,-2,9,13,-1]"], 454),
+    (["affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]", "--w", "[8,-6,-2,9,13,-1]",
+      "--count-only"], 454),
+])
+def test_cap_contract(capsys, argv, passing_cap):
+    # 8 chains; the affine backward sweep holds 454 vertices, so that cap binds first
+    code, _, err = run(capsys, *argv, "--cap", str(passing_cap - 1))
+    assert code == 4 and "cap" in err
+    code, _, _ = run(capsys, *argv, "--cap", str(passing_cap))
+    assert code == 0

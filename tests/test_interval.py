@@ -1,0 +1,83 @@
+"""The Hasse-DAG interval engine, checked by code that shares nothing with it."""
+
+import itertools
+from collections import Counter
+from functools import cache
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from bruhat_kit import affinegraph, cli, qsym, rbruhat
+from bruhat_kit.rbruhat import FinitePermutation as P
+
+README_240 = ["affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]",
+              "--w", "[8,-6,-2,9,13,-1]"]
+
+
+def test_cover_rule_matches_the_length_rule_exhaustively():
+    pairs = 0
+    for n in range(2, 7):
+        for images in itertools.permutations(range(1, n + 1)):
+            x = P(images)
+            for i, j in itertools.combinations(range(n), 2):
+                a, b = images[i], images[j]
+                if a > b:
+                    continue
+                pairs += 1
+                by_length = rbruhat.length(rbruhat.swap_values(x, a, b)) == \
+                    rbruhat.length(x) + 1
+                assert rbruhat.is_cover(x, a, b) == by_length, (images, a, b)
+    assert pairs == 6082
+
+
+def test_affine_job_expands_each_vertex_once(monkeypatch, capsys):
+    seen = Counter()
+    original = affinegraph.out_edges
+
+    def counting(u):
+        seen[u] += 1
+        return original(u)
+
+    monkeypatch.setattr(affinegraph, "out_edges", counting)
+    assert cli.main(README_240) == 0
+    assert "paths: 240" in capsys.readouterr().out
+    assert seen and max(seen.values()) == 1
+
+
+def brute_chain_count(u, w, r):
+    """Saturated r-Bruhat chains from u to w, by covers tested through length."""
+    n = max(len(u.images), len(w.images), r + 1)
+    top = rbruhat.length(w)
+
+    @cache
+    def count(x):
+        lx = rbruhat.length(x)
+        if lx == top:
+            return int(x == w)
+        total = 0
+        for a, b in itertools.product(range(1, n + 1), repeat=2):
+            if a < b and x.position(a) <= r < x.position(b):
+                y = rbruhat.swap_values(x, a, b)
+                if rbruhat.length(y) == lx + 1:
+                    total += count(y)
+        return total
+
+    return count(u)
+
+
+zetas = st.integers(5, 7).flatmap(lambda n: st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(zetas)
+def test_dag_count_k_and_symmetry_agree_with_brute_force(images):
+    zeta = P(images)
+    assume(zeta.images)
+    u, w, r = rbruhat.interval_from_zeta(zeta)
+    # is_symmetric builds every rearrangement of each part list, so keep the rank small
+    assume(rbruhat.length(w) - rbruhat.length(u) <= 8)
+    count = rbruhat.interval_dag(u, w, r).count()
+    assert count == len(rbruhat.all_chains(u, w, r)) == brute_chain_count(u, w, r)
+    kf = rbruhat.k_function_r(u, w, r)
+    assert sum(kf.terms.values()) == count
+    assert qsym.is_symmetric(kf)

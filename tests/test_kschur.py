@@ -4,7 +4,7 @@ import pytest
 
 from bruhat_kit import affineperm, combinat, kschur, qsym
 from bruhat_kit.affineperm import AffinePermutation
-from bruhat_kit.errors import MOutOfRange
+from bruhat_kit.errors import MOutOfRange, NotUnitriangular
 
 
 def test_weak_covers_examples():
@@ -153,3 +153,15 @@ def test_grassmannians_of_length_matches_kbounded_count():
             us = kschur.grassmannians_of_length(k, d)
             assert len(us) == len(combinat.partitions_of(d, max_part=k))
             assert len({kschur.kbounded_of(u) for u in us}) == len(us)
+
+
+def test_kschur_in_h_rejects_a_broken_matrix(monkeypatch):
+    real = kschur.k_matrix
+
+    def broken(k, degree, threads=1):
+        km = real(k, degree)
+        return kschur.KMatrix(k, degree, km.rows, km.columns, {})
+
+    monkeypatch.setattr(kschur, "k_matrix", broken)
+    with pytest.raises(NotUnitriangular):
+        kschur.kschur_in_h(AffinePermutation((2, 4, 0)))
