@@ -15,8 +15,9 @@ from .affineperm import (AffinePermutation, CorePartition, from_core,
 from .combinat import descent_composition, kostka, partitions_of, refines
 from .embedding import EmbeddingData, build_embedding, map_chain, verify_embedding
 from .errors import BruhatKitError
-from .kschur import (KMatrix, is_cyclically_increasing, k_function_weak,
-                     k_matrix, kschur_in_h, pieri_kschur, weak_covers)
+from .kschur import (KMatrix, invert_k_matrix, is_cyclically_increasing,
+                     k_function_weak, k_matrix, kschur_in_h, pieri_kschur,
+                     weak_covers)
 from .qsym import (QuasiSymFn, SymFn, f_to_m, h_expand_to_schur, is_symmetric,
                    m_to_f, schur_expand)
 from .rbruhat import (FinitePermutation, SchubertChain, all_chains, apply_u,

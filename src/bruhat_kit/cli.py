@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 
 from . import affinegraph, affineperm, combinat, embedding, kschur, qsym, rbruhat
 from .errors import BruhatKitError, CapExceeded
@@ -69,7 +70,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
     top = argparse.ArgumentParser(prog="bruhat-kit", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
@@ -207,8 +210,9 @@ def _run_kschur(args) -> int:
         payload["matrix"] = matrix
     if args.invert:
         inv = []
+        inverse = kschur.invert_k_matrix(km)
         for lam, u in zip(km.rows, km.columns):
-            hexp = kschur.kschur_in_h(u)
+            hexp = inverse[lam]
             lines.append(f"S^({args.k}){u.text()} = {fmt_sym(hexp)}")
             inv.append({"window": u.text(), "h_expansion": hexp.to_json()})
         payload["inverted"] = inv

@@ -7,8 +7,10 @@ part multisets are distinct objects (only symmetric functions collapse
 them).
 """
 
+from collections import Counter
 from functools import cache
 from itertools import permutations
+from math import factorial
 
 from .errors import EmptyChain
 
@@ -105,7 +107,8 @@ def refinements(beta: Composition) -> list[Composition]:
     """All compositions alpha with refines(alpha, beta)."""
     out = [()]
     for b in beta:
-        out = [pre + blk for pre in out for blk in compositions_of(b)]
+        blocks = compositions_of(b)
+        out = [pre + blk for pre in out for blk in blocks]
     return out
 
 
@@ -254,5 +257,33 @@ def ssyt_count_bruteforce(lam: Partition, mu: Composition) -> int:
 
 
 def distinct_rearrangements(lam: Partition) -> set[Composition]:
-    """All compositions with the same part multiset as lam."""
-    return set(permutations(lam))
+    """All compositions with the same part multiset as lam.
+
+    Steps through them in lexicographic order from sorted(lam) by
+    next-permutation, so each one is built once.  When itertools.permutations
+    would list each at most 6 times, its C loop is the faster one.
+    """
+    if factorial(len(lam)) <= 6 * rearrangement_count(lam):
+        return set(permutations(lam))
+    a = sorted(lam)
+    out = {tuple(a)}
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+        out.add(tuple(a))
+
+
+def rearrangement_count(lam: Partition) -> int:
+    """Number of distinct rearrangements of lam: len(lam)! / prod(m_i!)."""
+    count = factorial(len(lam))
+    for m in Counter(lam).values():
+        count //= factorial(m)
+    return count

@@ -15,6 +15,7 @@ from .affineperm import (AffinePermutation, is_grassmannian, kbounded_from_core,
                          length_affine, to_core)
 from .combinat import Partition
 from .errors import MOutOfRange, NotGrassmannian, NotUnitriangular
+from .interval import HasseDAG
 
 
 def weak_covers(u: AffinePermutation) -> list[tuple[int, AffinePermutation]]:
@@ -167,30 +168,29 @@ def k_matrix(k: int, degree: int, threads: int = 1) -> KMatrix:
     return KMatrix(k, degree, rows, columns, entries)
 
 
-def kschur_in_h(u: AffinePermutation) -> qsym.SymFn:
-    """Integer h-expansion of the k-Schur function indexed by u.
+def invert_k_matrix(km: KMatrix) -> dict[Partition, qsym.SymFn]:
+    """Integer h-expansions of all k-Schur functions of the matrix, by row partition.
 
-    Inverts the Pieri matrix at the degree of u by back substitution
-    along decreasing lex order (a dominance extension), which is exactly
-    the order in which the matrix is unitriangular.
+    Back substitution along decreasing lex order (a dominance extension),
+    which is exactly the order in which the matrix is unitriangular.
     """
-    d = length_affine(u)
-    if d == 0:
-        return qsym.SymFn("h", {(): 1})
-    km = k_matrix(u.k, d)
     if not km.is_unitriangular():
-        raise NotUnitriangular(f"Pieri matrix at k={u.k}, degree {d} is not unitriangular")
-    target = kbounded_of(u)
+        raise NotUnitriangular(f"Pieri matrix at k={km.k}, degree {km.degree} "
+                               "is not unitriangular")
     exprs: dict[Partition, qsym.SymFn] = {}
     for i, lam in enumerate(km.rows):
         expr = qsym.SymFn("h", {lam: 1})
         for j in range(i):
-            mu = km.rows[j]
             c = km.entry(lam, km.columns[j])
             if c:
-                expr = expr - c * exprs[mu]
+                expr = expr - c * exprs[km.rows[j]]
         exprs[lam] = expr
-    return exprs[target]
+    return exprs
+
+
+def kschur_in_h(u: AffinePermutation) -> qsym.SymFn:
+    """Integer h-expansion of the k-Schur function indexed by u."""
+    return invert_k_matrix(k_matrix(u.k, length_affine(u)))[kbounded_of(u)]
 
 
 @lru_cache(maxsize=1 << 12)
@@ -211,23 +211,33 @@ def k_function_weak(u: AffinePermutation, w: AffinePermutation) -> qsym.QuasiSym
     into cyclically increasing runs of sizes alpha.  Descent sequences
     are not well defined on the weak order, so no F-basis shortcut
     exists; any F view must go through the basis change.
+
+    Compositions are walked depth first, so all those sharing a prefix
+    share its endpoint counts, and only points on a weak chain from u to
+    w (the layers of the one-step Hasse DAG) are kept.
     """
     n = length_affine(w) - length_affine(u)
     if n < 0:
         return qsym.QuasiSymFn(qsym.M, {})
     if n == 0:
         return qsym.QuasiSymFn(qsym.M, {(): 1} if u == w else {})
+    dag = HasseDAG(u, w, n, lambda x, _: [(None, None, y) for y, _ in _segment_counts(x, 1)])
+    alive = {x for layer in dag.layers for x in layer}
     terms: dict[tuple[int, ...], int] = {}
-    for alpha in combinat.compositions_of(n):
-        if any(part > u.k for part in alpha):
-            continue
-        state = {u: 1}
-        for part in alpha:
+
+    def go(state, rest, alpha):
+        if not rest:
+            terms[alpha] = state[w]
+            return
+        for part in range(1, min(rest, u.k) + 1):
             nxt: dict[AffinePermutation, int] = {}
             for x, c in state.items():
                 for y, ways in _segment_counts(x, part):
-                    nxt[y] = nxt.get(y, 0) + c * ways
-            state = nxt
-        if state.get(w):
-            terms[alpha] = state[w]
+                    if y in alive:
+                        nxt[y] = nxt.get(y, 0) + c * ways
+            if nxt:
+                go(nxt, rest - part, alpha + (part,))
+
+    if alive:
+        go({u: 1}, n, ())
     return qsym.QuasiSymFn(qsym.M, terms)

@@ -186,18 +186,19 @@ def to_f(q: QuasiSymFn) -> QuasiSymFn:
 
 
 def is_symmetric(q: QuasiSymFn) -> bool:
-    """True iff M-coefficients are constant on compositions with equal part multisets."""
-    mq = to_m(q)
-    seen: dict[Partition, int] = {}
-    for alpha, c in mq.terms.items():
-        lam = tuple(sorted(alpha, reverse=True))
-        if seen.setdefault(lam, c) != c:
+    """True iff M-coefficients are constant on compositions with equal part multisets.
+
+    Terms hold no zeros, so a class of rearrangements is full exactly when
+    it has as many members as lam has rearrangements; none is listed.
+    """
+    classes: dict[Partition, list[int]] = {}
+    for alpha, c in to_m(q).terms.items():
+        entry = classes.setdefault(tuple(sorted(alpha, reverse=True)), [c, 0])
+        if entry[0] != c:
             return False
-    for lam, c in seen.items():
-        for alpha in combinat.distinct_rearrangements(lam):
-            if mq.terms.get(alpha, 0) != c:
-                return False
-    return True
+        entry[1] += 1
+    return all(members == combinat.rearrangement_count(lam)
+               for lam, (_, members) in classes.items())
 
 
 def schur_expand(q: QuasiSymFn) -> SymFn:
@@ -208,9 +209,9 @@ def schur_expand(q: QuasiSymFn) -> SymFn:
     linear extension of dominance, which carries the Kostka
     triangularity).  Coefficients may be negative.
     """
-    if not is_symmetric(q):
-        raise NotSymmetric("input has no Schur expansion")
     mq = to_m(q)
+    if not is_symmetric(mq):
+        raise NotSymmetric("input has no Schur expansion")
     out: dict[Partition, int] = {}
     for n in sorted(mq.degrees()):
         if n == 0:

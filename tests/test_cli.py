@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bruhat_kit import cli
+from bruhat_kit import cli, combinat, kschur
 
 
 def run(capsys, *argv):
@@ -126,3 +126,43 @@ def test_cap_contract(capsys, argv, passing_cap):
     assert code == 4 and "cap" in err
     code, _, _ = run(capsys, *argv, "--cap", str(passing_cap))
     assert code == 0
+
+
+def test_successive_calls_share_one_parser_and_print_as_fresh_ones(capsys):
+    jobs = [["weak", "--k", "2", "--u", "[0,2,4]", "--w", "[-3,4,5]"],
+            ["rbruhat", "--zeta", "3 6 2 5 4 1", "--schur", "--json"],
+            ["kschur", "--k", "2", "--degree", "3", "--invert"],
+            ["core", "--k", "3", "--mu", "4,1,1"],
+            ["weak", "--k", "2", "--u", "[0,2,4]", "--w", "[-3,4,5]", "--json"]]
+    in_a_row = [run(capsys, *argv) for argv in jobs]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, result in zip(jobs, in_a_row):
+        cli.build_parser.cache_clear()
+        assert run(capsys, *argv) == result
+
+
+@pytest.mark.parametrize("argv", [
+    ["weak", "--k", "2", "--u", "[0,2,4]", "--w", "[-3,4,5]"],
+    ["rbruhat", "--zeta", "3 6 2 5 4 1", "--schur"],
+])
+def test_schur_expansions_list_no_rearrangements(capsys, monkeypatch, argv):
+    def refuse(lam):
+        raise AssertionError(f"listed the rearrangements of {lam}")
+
+    monkeypatch.setattr(combinat, "distinct_rearrangements", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "K_S = " in out
+
+
+def test_kschur_invert_builds_the_matrix_once(capsys, monkeypatch):
+    builds = []
+    real = kschur.k_matrix
+
+    def counting(k, degree, threads=1):
+        builds.append((k, degree))
+        return real(k, degree)
+
+    monkeypatch.setattr(kschur, "k_matrix", counting)
+    code, out, _ = run(capsys, "kschur", "--k", "3", "--degree", "5", "--matrix", "--invert")
+    assert code == 0 and out.count("S^(3)") == 5
+    assert builds == [(3, 5)]

@@ -106,3 +106,11 @@ def test_conjugate_involution():
     for n in range(7):
         for lam in combinat.partitions_of(n):
             assert combinat.conjugate(combinat.conjugate(lam)) == lam
+
+
+def test_distinct_rearrangements_match_permutations():
+    for n in range(9):
+        for lam in combinat.partitions_of(n):
+            listed = set(itertools.permutations(lam))
+            assert combinat.distinct_rearrangements(lam) == listed, lam
+            assert combinat.rearrangement_count(lam) == len(listed), lam

@@ -65,7 +65,7 @@ def brute_chain_count(u, w, r):
     return count(u)
 
 
-zetas = st.integers(5, 7).flatmap(lambda n: st.permutations(range(1, n + 1)))
+zetas = st.integers(5, 8).flatmap(lambda n: st.permutations(range(1, n + 1)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,8 +74,6 @@ def test_dag_count_k_and_symmetry_agree_with_brute_force(images):
     zeta = P(images)
     assume(zeta.images)
     u, w, r = rbruhat.interval_from_zeta(zeta)
-    # is_symmetric builds every rearrangement of each part list, so keep the rank small
-    assume(rbruhat.length(w) - rbruhat.length(u) <= 8)
     count = rbruhat.interval_dag(u, w, r).count()
     assert count == len(rbruhat.all_chains(u, w, r)) == brute_chain_count(u, w, r)
     kf = rbruhat.k_function_r(u, w, r)

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from bruhat_kit import affineperm, combinat, kschur, qsym
-from bruhat_kit.affineperm import AffinePermutation
+from bruhat_kit.affineperm import AffinePermutation, length_affine
 from bruhat_kit.errors import MOutOfRange, NotUnitriangular
 
 
@@ -145,6 +146,79 @@ def test_k_function_weak_symmetric_on_samples():
             covers = kschur.weak_covers(w)
             w = rng.choice(covers)[1]
         assert qsym.is_symmetric(kschur.k_function_weak(u, w))
+
+
+def weak_k_by_compositions(u, w):
+    """The weak K function replayed from u once per composition, with no pruning."""
+    n = length_affine(w) - length_affine(u)
+    if n <= 0:
+        return {(): 1} if u == w else {}
+    terms = {}
+    for alpha in combinat.compositions_of(n):
+        if max(alpha) > u.k:
+            continue
+        state = {u: 1}
+        for part in alpha:
+            nxt = {}
+            for x, c in state.items():
+                for hours in itertools.combinations(range(u.k + 1), part):
+                    y = x
+                    for i in kschur.cyclic_order(hours, u.k):
+                        if y is None or not y(i) < y(i + 1):
+                            y = None
+                            break
+                        y = y.right_multiply_s(i)
+                        y = y if affineperm.is_grassmannian(y) else None
+                    if y is not None:
+                        nxt[y] = nxt.get(y, 0) + c
+            state = nxt
+        if state.get(w):
+            terms[alpha] = state[w]
+    return terms
+
+
+def weak_order_points(k, top):
+    """Every affine permutation of length <= top, grassmannian or not."""
+    layer = {AffinePermutation.identity(k)}
+    found = set(layer)
+    for _ in range(top):
+        layer = {x.right_multiply_s(i) for x in layer for i in range(k + 1) if x(i) < x(i + 1)}
+        found |= layer
+    return sorted(found, key=lambda x: x.window)
+
+
+def test_k_function_weak_matches_the_per_composition_loop():
+    # grassmannians of length <= 5 and every point of length <= 3 at k = 2..4
+    pairs = nonzero = 0
+    for k in (2, 3, 4):
+        grass = [u for d in range(6) for u in kschur.grassmannians_of_length(k, d)]
+        points = set(weak_order_points(k, 3)) | set(grass)
+        for u in points:
+            for w in points:
+                if length_affine(u) <= length_affine(w):
+                    expected = weak_k_by_compositions(u, w)
+                    assert kschur.k_function_weak(u, w).terms == expected, (u, w)
+                    pairs += 1
+                    nonzero += u != w and bool(expected)
+    assert (pairs, nonzero) == (4645, 188)
+
+
+def test_weak_k_from_a_non_grassmannian_start_is_empty():
+    # weak_covers raises NotGrassmannian on u; the weak K steps without it
+    u, w = AffinePermutation((2, 1, 3)), AffinePermutation((2, 3, 1))
+    assert not affineperm.is_grassmannian(u)
+    assert kschur.k_function_weak(u, w).terms == {}
+
+
+def test_invert_k_matrix_matches_kschur_in_h():
+    for k in (2, 3, 4):
+        for degree in range(6):
+            km = kschur.k_matrix(k, degree)
+            inverse = kschur.invert_k_matrix(km)
+            assert list(inverse) == km.rows
+            for lam, u in zip(km.rows, km.columns):
+                assert inverse[lam] == kschur.kschur_in_h(u)
+    assert kschur.kschur_in_h(AffinePermutation.identity(3)).terms == {(): 1}
 
 
 def test_grassmannians_of_length_matches_kbounded_count():

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -60,6 +62,55 @@ def test_is_symmetric():
     assert not qsym.is_symmetric(qsym.QuasiSymFn(M, {(2, 1): 1}))
     assert qsym.is_symmetric(qsym.QuasiSymFn(M, {}))
     assert qsym.is_symmetric(qsym.QuasiSymFn(F, {(): 3}))
+
+
+def listed_is_symmetric(q):
+    """Symmetry by listing every rearrangement of every part multiset."""
+    mq = qsym.to_m(q)
+    seen = {}
+    for alpha, c in mq.terms.items():
+        lam = tuple(sorted(alpha, reverse=True))
+        if seen.setdefault(lam, c) != c:
+            return False
+    return all(mq.terms.get(alpha, 0) == c for lam, c in seen.items()
+               for alpha in set(itertools.permutations(lam)))
+
+
+def test_is_symmetric_agrees_with_listing_every_rearrangement():
+    # full classes, classes with one member missing, classes with one
+    # coefficient changed; alone and beside a full class of another degree
+    cases = 0
+    for n in range(1, 7):
+        for lam in combinat.partitions_of(n):
+            full = {alpha: 2 for alpha in set(itertools.permutations(lam))}
+            variants = [full]
+            for alpha in full:
+                variants.append({b: c for b, c in full.items() if b != alpha})
+                variants.append({**full, alpha: 3})
+            for terms in variants:
+                for extra in ({}, {(1,): 5}, {(): 1}):
+                    q = qsym.QuasiSymFn(M, {**terms, **extra})
+                    assert qsym.is_symmetric(q) == listed_is_symmetric(q), (lam, terms)
+                    cases += 1
+    assert cases == 3 * sum(1 + 2 * len(set(itertools.permutations(lam)))
+                            for n in range(1, 7) for lam in combinat.partitions_of(n))
+
+
+def test_equality_within_and_across_bases():
+    q = qsym.QuasiSymFn(F, {(2, 1): 1, (1, 2): 1, (1, 1, 1): -1})
+    mq = qsym.f_to_m(q)
+    assert q == mq and hash(q) == hash(mq)
+    assert q == qsym.QuasiSymFn(F, dict(q.terms))
+    assert q != qsym.QuasiSymFn(F, {(2, 1): 1})
+    assert q != qsym.QuasiSymFn(F, {**q.terms, (1, 1, 1): 1})
+    assert mq != qsym.QuasiSymFn(M, {**mq.terms, (2, 1): 7})
+
+
+def test_schur_expand_of_e12_is_not_factorial():
+    start = time.perf_counter()
+    e12 = qsym.schur_to_m(qsym.SymFn("s", {(1,) * 12: 1}))
+    assert qsym.schur_expand(e12).terms == {(1,) * 12: 1}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_schur_expand_known_expansions():
