@@ -8,13 +8,15 @@ give parallel edges with distinct labels but the same endpoints.
 
 Operator words act on the right, so words apply left to right.  Path
 counts, path lists and the K function are read off the interval's Hasse
-DAG (see interval.py), built from out_edges once per vertex.
+DAG (see interval.py).  Among 0-grassmannians the order is containment
+of (k+1)-cores, so the DAG grows forward from u and keeps only targets
+whose core fits inside the core of w; out_edges runs once per vertex.
 """
 
 from dataclasses import dataclass, field
 
 from . import qsym
-from .affineperm import AffinePermutation, is_grassmannian, length_affine
+from .affineperm import AffinePermutation, is_grassmannian, length_affine, to_core
 from .errors import BadPair, CapExceeded, NotGrassmannian, PatternMismatch
 from .interval import HasseDAG
 
@@ -57,7 +59,7 @@ def _right_transpose(u: AffinePermutation, a: int, b: int) -> AffinePermutation:
             window.append(u(j - gap))
         else:
             window.append(u.window[j - 1])
-    return AffinePermutation(window, u.k)
+    return AffinePermutation._trusted(tuple(window), u.k)
 
 
 def apply_word(u: AffinePermutation, word):
@@ -110,11 +112,11 @@ def edge_representatives(u: AffinePermutation, a: int, b: int) -> list[AffineEdg
     a0 = (a - 1) % n + 1
     b0 = a0 + (b - a)
     _check_pair(u.k, a0, b0)
-    if not is_bruhat_cover(u, a0, b0):
+    shifts = _rep_range(u, a0, b0)
+    if not shifts or not is_bruhat_cover(u, a0, b0):
         return []
     target = _right_transpose(u, a0, b0)
-    return [AffineEdge(u, a0 + m * n, b0 + m * n, target)
-            for m in _rep_range(u, a0, b0)]
+    return [AffineEdge(u, a0 + m * n, b0 + m * n, target) for m in shifts]
 
 
 def out_edges(u: AffinePermutation) -> list[AffineEdge]:
@@ -125,31 +127,6 @@ def out_edges(u: AffinePermutation) -> list[AffineEdge]:
         for gap in range(1, u.k + 1):
             edges.extend(edge_representatives(u, a0, a0 + gap))
     return edges
-
-
-def _in_sources(w: AffinePermutation) -> list[AffinePermutation]:
-    """Distinct vertices x with at least one edge x -> w."""
-    n = w.k + 1
-    out = []
-    for a0 in range(1, n + 1):
-        for gap in range(1, w.k + 1):
-            b0 = a0 + gap
-            wa, wb = w(a0), w(b0)
-            if wa <= wb:
-                continue
-            if any(wb < w(i) < wa for i in range(a0 + 1, b0)):
-                continue
-            if _rep_range_rev(w, a0, b0):
-                out.append(_right_transpose(w, a0, b0))
-    return out
-
-
-def _rep_range_rev(w: AffinePermutation, a: int, b: int) -> range:
-    # source condition in terms of the target: w(b') <= 0 < w(a')
-    n = w.k + 1
-    m_lo = -((w(a) - 1) // n)
-    m_hi = (-w(b)) // n
-    return range(m_lo, m_hi + 1)
 
 
 @dataclass(frozen=True)
@@ -171,69 +148,61 @@ class AffinePath:
         return self.edges[-1].target if self.edges else self.start
 
 
-def _backward_layers(w, budget, cap):
-    """Vertex sets that can still reach w in exactly j steps, j = 0..budget."""
-    layers = [{w}]
-    total = 1
-    for _ in range(budget):
-        prev = layers[-1]
-        nxt = set()
-        for x in prev:
-            nxt.update(_in_sources(x))
-        total += len(nxt)
-        if total > cap:
-            raise CapExceeded(f"interval vertex cap {cap} exceeded")
-        layers.append(nxt)
-    return layers
+def _fits(inner, outer) -> bool:
+    """Whether the Young diagram of inner lies inside that of outer."""
+    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
 
 
 def interval_dag(u: AffinePermutation, w: AffinePermutation,
-                 cap: int = DEFAULT_CAP, restrict_grassmannian: bool = True) -> HasseDAG:
+                 cap: int = DEFAULT_CAP) -> HasseDAG:
     """The Hasse DAG of [u, w]; steps are AffineEdges labeled b.
 
-    A backward sweep from w first finds the vertices that can still
-    reach it, at most cap of them; out_edges is then called once for
-    every vertex reached forward from u inside that set.
+    The DAG grows forward from u.  A target is kept when it is
+    0-grassmannian and its core fits inside the core of w, which is
+    exactly when it lies below w; HasseDAG then drops what does not
+    reach w.  At most cap vertices are expanded, one out_edges call each.
     """
     if u.k != w.k:
         raise BadPair(f"k mismatch: {u.k} vs {w.k}")
-    if restrict_grassmannian:
-        if not is_grassmannian(u):
-            raise NotGrassmannian(f"{u.text()} is not 0-grassmannian")
-        if not is_grassmannian(w):
-            raise NotGrassmannian(f"{w.text()} is not 0-grassmannian")
+    if not is_grassmannian(u):
+        raise NotGrassmannian(f"{u.text()} is not 0-grassmannian")
+    if not is_grassmannian(w):
+        raise NotGrassmannian(f"{w.text()} is not 0-grassmannian")
     budget = length_affine(w) - length_affine(u)
-    layers = _backward_layers(w, budget, cap) if budget >= 0 else None
-    if layers is None or u not in layers[budget]:
+    top = to_core(w).partition
+    if budget < 0 or not _fits(to_core(u).partition, top):
         return HasseDAG(u, w, -1, None)
+    expanded = 0
 
     def steps(x, depth):
-        allowed = layers[budget - depth - 1]
+        nonlocal expanded
+        expanded += 1
+        if expanded > cap:
+            raise CapExceeded(f"interval vertex cap {cap} exceeded "
+                              f"at depth {depth} of rank {budget}")
         return [(e, e.b, e.target) for e in sorted(out_edges(x), key=lambda e: (e.a, e.b))
-                if e.target in allowed]
+                if is_grassmannian(e.target) and _fits(to_core(e.target).partition, top)]
 
     return HasseDAG(u, w, budget, steps)
 
 
 def paths(u: AffinePermutation, w: AffinePermutation,
-          cap: int = DEFAULT_CAP, threads: int = 1,
-          restrict_grassmannian: bool = True) -> list[AffinePath]:
+          cap: int = DEFAULT_CAP, threads: int = 1) -> list[AffinePath]:
     """All paths from u to w, sorted lexicographically by step pairs.
 
-    Raises CapExceeded when the backward sweep meets more than cap
+    Raises CapExceeded when the forward sweep would expand more than cap
     vertices or, before listing anything, when there are more than cap
     paths.  `threads` is accepted for compatibility and ignored.
     """
-    dag = interval_dag(u, w, cap, restrict_grassmannian)
+    dag = interval_dag(u, w, cap)
     dag.check_cap(cap, "path")
     return [AffinePath(u, edges) for edges in dag.walks()]
 
 
 def path_count(u: AffinePermutation, w: AffinePermutation,
-               cap: int = DEFAULT_CAP,
-               restrict_grassmannian: bool = True) -> int:
+               cap: int = DEFAULT_CAP) -> int:
     """Number of paths from u to w; the cap bounds only the vertex sweep."""
-    return interval_dag(u, w, cap, restrict_grassmannian).count()
+    return interval_dag(u, w, cap).count()
 
 
 def k_function_affine(u: AffinePermutation, w: AffinePermutation,

@@ -38,6 +38,16 @@ class AffinePermutation:
         self._slot = {res: j + 1 for j, res in enumerate(residues)}
 
     @classmethod
+    def _trusted(cls, window: tuple, k: int) -> "AffinePermutation":
+        """Build from a window of ints that is valid by construction; no checks."""
+        self = object.__new__(cls)
+        self.k = k
+        self.window = window
+        n = k + 1
+        self._slot = {w % n: j + 1 for j, w in enumerate(window)}
+        return self
+
+    @classmethod
     def identity(cls, k: int) -> "AffinePermutation":
         return cls(range(1, k + 2), k)
 
@@ -80,7 +90,7 @@ class AffinePermutation:
         off = (i - j)             # multiple of n
         off2 = (i + 1 - j2)
         w[j - 1], w[j2 - 1] = self(i + 1) - off, self(i) - off2
-        return AffinePermutation(w, self.k)
+        return AffinePermutation._trusted(tuple(w), self.k)
 
     def __eq__(self, other):
         if not isinstance(other, AffinePermutation):

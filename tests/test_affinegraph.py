@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -109,6 +110,29 @@ def test_paths_trivial_and_parallel():
 def test_paths_cap():
     with pytest.raises(CapExceeded):
         affinegraph.paths(U41, W41, cap=10)
+    # the sweep expands 15 vertices, 1 + 4 + 6 + 4 over depths 0..3 of rank 4,
+    # and a vertex-cap error says how deep it got
+    with pytest.raises(CapExceeded, match="vertex cap 6 exceeded at depth 2 of rank 4"):
+        affinegraph.path_count(U41, W41, cap=6)
+    with pytest.raises(CapExceeded, match="vertex cap 14 exceeded at depth 3 of rank 4"):
+        affinegraph.path_count(U41, W41, cap=14)
+
+
+def test_rank8_reference_expands_each_vertex_below_w_once(monkeypatch):
+    u = AffinePermutation((3, -1, 0, 7, 8, 4))
+    w = AffinePermutation((3, -6, -1, 13, 4, 8))
+    expanded = []
+    out_edges = affinegraph.out_edges
+
+    def counting_out_edges(x):
+        expanded.append(x)
+        return out_edges(x)
+
+    monkeypatch.setattr(affinegraph, "out_edges", counting_out_edges)
+    dag = affinegraph.interval_dag(u, w)
+    assert dag.count() == 23898
+    assert sum(len(layer) for layer in dag.layers) == 89
+    assert len(expanded) == len(set(expanded)) <= 88
 
 
 def test_k_function_affine_example():
@@ -241,3 +265,64 @@ def test_x_counterexamples_exist():
         witness = affinegraph.find_x_counterexample(tag, 4, rng, attempts=20000)
         assert witness is not None, tag
         assert not witness.holds
+
+
+def ev(window, i):
+    # periodic evaluation straight from the window
+    n = len(window)
+    q, r = divmod(i - 1, n)
+    return window[r] + q * n
+
+
+def definition_edges(u):
+    # every pair a < b with 0 < b - a <= k, u(a) <= 0 < u(b) and no value of
+    # u strictly between u(a) and u(b) at a position strictly between them;
+    # the target swaps the values at a and b in every period
+    win, n = u.window, u.k + 1
+    reach = 2 * (max(abs(x) for x in win) + n)
+    out = []
+    for a in range(-reach, reach + 1):
+        for b in range(a + 1, a + n):
+            ua, ub = ev(win, a), ev(win, b)
+            if not ua <= 0 < ub or any(ua < ev(win, i) < ub for i in range(a + 1, b)):
+                continue
+            target = tuple(ev(win, j + b - a) if (j - a) % n == 0 else
+                           ev(win, j - b + a) if (j - b) % n == 0 else win[j - 1]
+                           for j in range(1, n + 1))
+            out.append((a, b, target))
+    return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def grassmannian_box():
+    # (length, u) for every 0-grassmannian of length <= 6, by k = 1..4
+    return {k: [(d, u) for d in range(7) for u in kschur.grassmannians_of_length(k, d)]
+            for k in range(1, 5)}
+
+
+def test_out_edges_match_the_definition_on_a_box():
+    for box in grassmannian_box().values():
+        for _, u in box:
+            got = sorted((e.a, e.b, e.target.window) for e in affinegraph.out_edges(u))
+            assert got == definition_edges(u), u
+
+
+def test_interval_dag_exhaustive_against_bruteforce():
+    pairs = related = empty = equal = 0
+    for box in grassmannian_box().values():
+        for du, u in box:
+            for dw, w in box:
+                if du > dw:
+                    continue
+                expect = brute_paths(u, w, dw - du)
+                dag = affinegraph.interval_dag(u, w)
+                assert [tuple((e.a, e.b) for e in walk) for walk in dag.walks()] == expect
+                assert dag.count() == len(expect)
+                assert dag.k_function().terms == brute_k_terms(expect)
+                assert all(affineperm.is_grassmannian(x)
+                           for layer in dag.layers for x in layer)
+                pairs += 1
+                related += bool(expect)
+                empty += not expect
+                equal += u == w
+    assert (pairs, related, empty, equal) == (938, 547, 391, 73)

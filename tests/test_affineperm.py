@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from bruhat_kit import affineperm, kschur
+from bruhat_kit import affinegraph, affineperm, kschur
 from bruhat_kit.affineperm import AffinePermutation, CorePartition
 from bruhat_kit.errors import KMismatch, NotACore, NotGrassmannian
 
@@ -126,6 +126,26 @@ def test_right_multiply_s_agrees_with_multiply():
     u = affineperm.parse_window("[-6,8,3,-1,4,13]")
     for i in range(6):
         assert u.right_multiply_s(i) == u * AffinePermutation.generator(5, i)
+
+
+def test_trusted_constructor_builds_what_validation_builds():
+    def same_as_validated(t):
+        v = AffinePermutation(t.window, t.k)
+        assert type(t.window) is tuple and all(type(x) is int for x in t.window)
+        assert (t.window, t.k, t._slot, hash(t)) == (v.window, v.k, v._slot, hash(v))
+        assert t == v
+
+    checked = 0
+    for k in range(1, 5):
+        for d in range(7):
+            for u in kschur.grassmannians_of_length(k, d):
+                for e in affinegraph.out_edges(u):
+                    same_as_validated(e.target)
+                    checked += 1
+                for i in range(-(k + 1), 2 * (k + 1)):
+                    same_as_validated(u.right_multiply_s(i))
+                    checked += 1
+    assert checked > 1000
 
 
 def test_k_mismatch():

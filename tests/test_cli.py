@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bruhat_kit import cli, combinat, kschur
+from bruhat_kit import affineperm, cli, combinat, kschur
 
 
 def run(capsys, *argv):
@@ -116,16 +116,32 @@ def test_kschur_verb(capsys):
 
 @pytest.mark.parametrize("argv, passing_cap", [
     (["rbruhat", "--zeta", "3 6 2 5 4 1"], 8),
-    (["affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]", "--w", "[8,-6,-2,9,13,-1]"], 454),
+    (["affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]", "--w", "[8,-6,-2,9,13,-1]"], 240),
     (["affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]", "--w", "[8,-6,-2,9,13,-1]",
-      "--count-only"], 454),
+      "--count-only"], 15),
 ])
 def test_cap_contract(capsys, argv, passing_cap):
-    # 8 chains; the affine backward sweep holds 454 vertices, so that cap binds first
+    # rbruhat: 8 chains.  affine: the forward sweep expands 15 vertices, so
+    # --count-only binds there, while the full job's 240 paths bind first.
     code, _, err = run(capsys, *argv, "--cap", str(passing_cap - 1))
     assert code == 4 and "cap" in err
     code, _, _ = run(capsys, *argv, "--cap", str(passing_cap))
     assert code == 0
+
+
+def test_affine_job_validates_only_the_two_parsed_windows(capsys, monkeypatch):
+    validated = []
+    init = affineperm.AffinePermutation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        validated.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(affineperm.AffinePermutation, "__init__", counting_init)
+    code, out, _ = run(capsys, "affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]",
+                       "--w", "[8,-6,-2,9,13,-1]")
+    assert code == 0 and "paths: 240" in out
+    assert len(validated) == 2
 
 
 def test_successive_calls_share_one_parser_and_print_as_fresh_ones(capsys):
