@@ -11,7 +11,7 @@ from .affinegraph import (AffineEdge, AffinePath, apply_t, check_relation,
                           dual_pieri, edge_representatives, is_bruhat_cover,
                           k_function_affine, out_edges, path_count, paths)
 from .affineperm import (AffinePermutation, CorePartition, from_core,
-                         is_grassmannian, length_affine, multiply, to_core)
+                         is_grassmannian, length_affine, to_core)
 from .combinat import descent_composition, kostka, partitions_of, refines
 from .embedding import EmbeddingData, build_embedding, map_chain, verify_embedding
 from .errors import BruhatKitError

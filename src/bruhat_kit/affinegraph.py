@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from . import qsym
 from .affineperm import AffinePermutation, is_grassmannian, length_affine, to_core
 from .errors import BadPair, CapExceeded, NotGrassmannian, PatternMismatch
-from .interval import HasseDAG
-
-DEFAULT_CAP = 10**6
+from .interval import DEFAULT_CAP, HasseDAG
 
 
 def _check_pair(k: int, a: int, b: int) -> None:
@@ -84,12 +82,6 @@ class AffineEdge:
     @property
     def label(self) -> int:
         return self.b
-
-    def render(self) -> str:
-        n = self.source.k + 1
-        a0 = (self.a - 1) % n + 1
-        m = (self.a - a0) // n
-        return f"t({a0},{a0 + self.b - self.a})@{m} label={self.b}"
 
 
 def _rep_range(u: AffinePermutation, a: int, b: int) -> range:
@@ -187,12 +179,12 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
 
 
 def paths(u: AffinePermutation, w: AffinePermutation,
-          cap: int = DEFAULT_CAP, threads: int = 1) -> list[AffinePath]:
+          cap: int = DEFAULT_CAP) -> list[AffinePath]:
     """All paths from u to w, sorted lexicographically by step pairs.
 
     Raises CapExceeded when the forward sweep would expand more than cap
     vertices or, before listing anything, when there are more than cap
-    paths.  `threads` is accepted for compatibility and ignored.
+    paths.
     """
     dag = interval_dag(u, w, cap)
     dag.check_cap(cap, "path")
@@ -206,10 +198,9 @@ def path_count(u: AffinePermutation, w: AffinePermutation,
 
 
 def k_function_affine(u: AffinePermutation, w: AffinePermutation,
-                      cap: int = DEFAULT_CAP, threads: int = 1) -> qsym.QuasiSymFn:
+                      cap: int = DEFAULT_CAP) -> qsym.QuasiSymFn:
     """The interval's chain function: F summed over the paths' descent
-    compositions, by DP without listing paths.  Caps as in paths;
-    `threads` is ignored."""
+    compositions, by DP without listing paths.  Caps as in paths."""
     dag = interval_dag(u, w, cap)
     dag.check_cap(cap, "path")
     return dag.k_function()
@@ -379,8 +370,8 @@ def rule_sampleable(tag: str, k: int) -> bool:
     """Whether the rule's letter pattern can be instantiated at this k."""
     if tag == "A":
         return k >= 3  # four distinct residues
-    if tag in ("B1", "C2", "F") or tag in X_RULES:
-        return k >= 2
+    if tag in ("B1", "C2", "E1", "E2", "F") or tag in X_RULES:
+        return k >= 2  # each pattern needs a span of at least 2 that is at most k
     return k >= 1
 
 
@@ -489,16 +480,20 @@ class SweepResult:
         return not self.failures
 
 
-def _grassmannian_pool(k: int, rng, size: int, max_length: int) -> list:
+_POOL_SIZE = 400
+_POOL_MAX_LENGTH = 9
+_DRAWS_PER_TRIAL = 400
+_X_ATTEMPTS = 20000
+
+
+def _grassmannian_pool(k: int, rng) -> list:
     from .kschur import random_grassmannian
 
-    return [random_grassmannian(k, rng.randint(0, max_length), rng)
-            for _ in range(size)]
+    return [random_grassmannian(k, rng.randint(0, _POOL_MAX_LENGTH), rng)
+            for _ in range(_POOL_SIZE)]
 
 
-def sweep_relation(tag: str, k: int, trials: int, rng,
-                   max_length: int = 9, pool_size: int = 400,
-                   draw_budget: int | None = None) -> SweepResult:
+def sweep_relation(tag: str, k: int, trials: int, rng) -> SweepResult:
     """Randomized soundness sweep of one rule at a fixed k.
 
     Letters fit the rule's pattern and u is drawn from a pool of random
@@ -507,16 +502,17 @@ def sweep_relation(tag: str, k: int, trials: int, rng,
     only draws that exercise the statement (a nonzero side; for X rules
     the sign conditions must hold and the left side be nonzero), so
     `trials` counts real evaluations.  Sampling stops early when the
-    draw budget runs out, which happens at k where the patterns are
-    sparse; `checked` reports what was actually recorded.
+    budget of _DRAWS_PER_TRIAL draws per trial runs out, which happens at
+    k where the patterns are sparse; `checked` reports what was actually
+    recorded.
     """
     result = SweepResult(tag, k, trials)
     if not rule_sampleable(tag, k):
         return result
-    pool = _grassmannian_pool(k, rng, pool_size, max_length)
+    pool = _grassmannian_pool(k, rng)
     want_nonzero = tag in EQUALITY_RULES or tag in X_RULES or tag == "C2"
     x_rule = tag in X_RULES
-    budget = draw_budget if draw_budget is not None else 400 * trials
+    budget = _DRAWS_PER_TRIAL * trials
     draws = 0
     while result.checked < trials and draws < budget:
         draws += 1
@@ -538,21 +534,20 @@ def sweep_relation(tag: str, k: int, trials: int, rng,
     return result
 
 
-def find_x_counterexample(tag: str, k: int, rng, attempts: int = 20000,
-                          max_length: int = 9) -> VerificationReport | None:
+def find_x_counterexample(tag: str, k: int, rng) -> VerificationReport | None:
     """A witness that an X rule fails once its sign condition on u is dropped.
 
     The witness has the condition violated and the two sides unequal;
     depending on the rule this shows up as a nonzero left side with a
     differing right side, or as a vanishing left side while the right
-    side survives.
+    side survives.  Gives up after _X_ATTEMPTS draws.
     """
     if tag not in X_RULES:
         raise PatternMismatch(f"{tag} is not an X rule")
     if not rule_sampleable(tag, k):
         return None
-    pool = _grassmannian_pool(k, rng, 400, max_length)
-    for _ in range(attempts):
+    pool = _grassmannian_pool(k, rng)
+    for _ in range(_X_ATTEMPTS):
         letters = sample_letters(tag, k, rng)
         u = rng.choice(pool)
         try:

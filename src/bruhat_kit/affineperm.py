@@ -125,10 +125,6 @@ def window_eval(window, i: int) -> int:
     return window[j - 1] + (i - j)
 
 
-def multiply(u: AffinePermutation, v: AffinePermutation) -> AffinePermutation:
-    return u * v
-
-
 def length_affine(u: AffinePermutation) -> int:
     """Affine inversion count: pairs i <= k+1 < ... with i < j and u(i) > u(j)."""
     n = u.k + 1

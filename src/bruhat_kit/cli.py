@@ -16,7 +16,7 @@ import random
 import sys
 from functools import cache
 
-from . import affinegraph, affineperm, combinat, embedding, kschur, qsym, rbruhat
+from . import affinegraph, affineperm, combinat, embedding, interval, kschur, qsym, rbruhat
 from .errors import BruhatKitError, CapExceeded
 
 SCHEMA = "bruhat-kit/1"
@@ -61,64 +61,58 @@ def _parse_partition(text: str) -> tuple:
     return combinat.as_partition(int(p) for p in body.replace(",", " ").split())
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit structured output")
-    p.add_argument("--cap", type=int, default=rbruhat.DEFAULT_CAP,
-                   help="enumeration cap (default 10^6)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility and ignored")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized verbs")
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parsing does not change it."""
     top = argparse.ArgumentParser(prog="bruhat-kit", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("rbruhat", help="interval and chain function from zeta")
+    def verb(name: str, summary: str, cap: bool = False) -> argparse.ArgumentParser:
+        """A verb's parser with --json, and with --cap when it enumerates."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--json", action="store_true", help="emit structured output")
+        if cap:
+            p.add_argument("--cap", type=int, default=interval.DEFAULT_CAP,
+                           help="enumeration cap (default 10^6)")
+        return p
+
+    p = verb("rbruhat", "interval and chain function from zeta", cap=True)
     p.add_argument("--zeta", required=True, help='one-line permutation, e.g. "3 6 2 5 4 1"')
     p.add_argument("--chains", action="store_true", help="list every chain")
     p.add_argument("--schur", action="store_true", help="also print the Schur expansion")
-    _add_common(p)
 
-    p = sub.add_parser("affine", help="affine 0-Bruhat interval")
+    p = verb("affine", "affine 0-Bruhat interval", cap=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--u", required=True, help='window, e.g. "[-6,8,3,-1,4,13]"')
     p.add_argument("--w", required=True)
     p.add_argument("--count-only", action="store_true", help="path count only")
-    _add_common(p)
 
-    p = sub.add_parser("weak", help="weak-order interval function")
+    p = verb("weak", "weak-order interval function")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--u", required=True)
     p.add_argument("--w", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("kschur", help="Pieri matrix and its inversion")
+    p = verb("kschur", "Pieri matrix and its inversion")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--matrix", action="store_true", help="print the matrix")
     p.add_argument("--invert", action="store_true", help="print all h-expansions")
-    _add_common(p)
 
-    p = sub.add_parser("core", help="window <-> core bijection")
+    p = verb("core", "window <-> core bijection")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--u", help="window to send to its core")
     p.add_argument("--mu", help='core partition, e.g. "4,1,1"')
-    _add_common(p)
 
-    p = sub.add_parser("embed", help="affine embedding of a finite interval")
+    p = verb("embed", "affine embedding of a finite interval", cap=True)
     p.add_argument("--zeta", required=True)
     p.add_argument("--verify", action="store_true", help="map all chains and compare K")
-    _add_common(p)
 
-    p = sub.add_parser("relations", help="randomized relation sweeps")
+    p = verb("relations", "randomized relation sweeps")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sweep", type=int, default=1000, help="trials per rule")
     p.add_argument("--rules", default=",".join(affinegraph.ALL_RULES),
                    help="comma list of rule tags")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sweeps")
     return top
 
 
@@ -266,6 +260,12 @@ def _run_embed(args) -> int:
 def _run_relations(args) -> int:
     rng = random.Random(args.seed)
     tags = [t.strip() for t in args.rules.split(",") if t.strip()]
+    if args.k < 1:
+        raise BruhatKitError(f"relations need k >= 1, got {args.k}")
+    if args.sweep < 1:
+        raise BruhatKitError(f"--sweep must be at least 1, got {args.sweep}")
+    if not tags:
+        raise BruhatKitError(f"--rules {args.rules!r} names no rule")
     for tag in tags:
         if tag not in affinegraph.ALL_RULES:
             raise BruhatKitError(f"unknown rule tag {tag!r}")
@@ -299,6 +299,8 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "cap" in args and args.cap < 0:
+            raise BruhatKitError(f"--cap must be nonnegative, got {args.cap}")
         return _RUNNERS[args.verb](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ them).
 
 from collections import Counter
 from functools import cache
-from itertools import permutations
 from math import factorial
 
 from .errors import EmptyChain
@@ -36,10 +35,6 @@ def as_composition(parts) -> Composition:
     if any(x <= 0 for x in c):
         raise ValueError(f"composition parts must be positive: {c}")
     return c
-
-
-def weight(parts) -> int:
-    return sum(parts)
 
 
 def refines(alpha: Composition, beta: Composition) -> bool:
@@ -260,11 +255,8 @@ def distinct_rearrangements(lam: Partition) -> set[Composition]:
     """All compositions with the same part multiset as lam.
 
     Steps through them in lexicographic order from sorted(lam) by
-    next-permutation, so each one is built once.  When itertools.permutations
-    would list each at most 6 times, its C loop is the faster one.
+    next-permutation, so each one is built once.
     """
-    if factorial(len(lam)) <= 6 * rearrangement_count(lam):
-        return set(permutations(lam))
     a = sorted(lam)
     out = {tuple(a)}
     while True:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from . import affinegraph, qsym, rbruhat
 from .affineperm import AffinePermutation, is_grassmannian, window_eval
 from .errors import NotGrassmannianResult
+from .interval import DEFAULT_CAP
 from .rbruhat import FinitePermutation, SchubertChain
 
 
@@ -130,8 +131,7 @@ class EmbeddingReport:
                 and self.common_endpoint and self.dominated)
 
 
-def verify_embedding(e: EmbeddingData, cap: int = rbruhat.DEFAULT_CAP,
-                     check_domination: bool = True) -> EmbeddingReport:
+def verify_embedding(e: EmbeddingData, cap: int = DEFAULT_CAP) -> EmbeddingReport:
     """Map every chain of the source interval and compare the K functions."""
     x, y, r = e.source_interval
     chains = rbruhat.all_chains(x, y, r, cap=cap)
@@ -147,13 +147,9 @@ def verify_embedding(e: EmbeddingData, cap: int = rbruhat.DEFAULT_CAP,
         endpoints.add(img.end())
     common = len(endpoints) == 1 and (not chains or endpoints == {e.v})
     k_schub = rbruhat.k_function_r(x, y, r, cap=cap)
-    if check_domination:
-        # the cap bounds the affine vertex sweep only, never the path count
-        k_aff = affinegraph.interval_dag(e.u, e.v, cap).k_function()
-        dominated = k_aff.dominates(k_schub)
-    else:
-        k_aff = qsym.QuasiSymFn(qsym.F, {})
-        dominated = True
+    # the cap bounds the affine vertex sweep only, never the path count
+    k_aff = affinegraph.interval_dag(e.u, e.v, cap).k_function()
+    dominated = k_aff.dominates(k_schub)
     if not common:
         failures.append(("endpoints differ", sorted(w.window for w in endpoints)))
     if not dominated:

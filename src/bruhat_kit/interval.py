@@ -9,6 +9,8 @@ dynamic programs over the layers; chains are listed only on request.
 from . import qsym
 from .errors import CapExceeded
 
+DEFAULT_CAP = 10**6
+
 
 class HasseDAG:
     """The saturated chains of [start, end] as a layered DAG.

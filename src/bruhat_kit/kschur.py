@@ -71,19 +71,25 @@ def _chain_end(u: AffinePermutation, labels) -> AffinePermutation | None:
     return x
 
 
+@lru_cache(maxsize=1 << 12)
+def _segment_counts(u: AffinePermutation, m: int) -> tuple:
+    """Endpoint counts of cyclically increasing weak m-chains from u."""
+    acc: dict[AffinePermutation, int] = {}
+    for hours in combinations(range(u.k + 1), m):
+        end = _chain_end(u, cyclic_order(hours, u.k))
+        if end is not None:
+            acc[end] = acc.get(end, 0) + 1
+    return tuple(acc.items())
+
+
 def pieri_kschur(u: AffinePermutation, m: int) -> list[AffinePermutation]:
     """Endpoints of the cyclically increasing weak chains of length m from u."""
     if not 1 <= m <= u.k:
         raise MOutOfRange(f"need 1 <= m <= k={u.k}, got {m}")
     if not is_grassmannian(u):
         raise NotGrassmannian(f"{u.text()} is not 0-grassmannian")
-    out = []
-    for hours in combinations(range(u.k + 1), m):
-        end = _chain_end(u, cyclic_order(hours, u.k))
-        if end is not None:
-            out.append(end)
-    out.sort(key=lambda x: x.window)
-    return out
+    return sorted((v for v, c in _segment_counts(u, m) for _ in range(c)),
+                  key=lambda x: x.window)
 
 
 def grassmannians_of_length(k: int, d: int) -> list[AffinePermutation]:
@@ -140,31 +146,25 @@ class KMatrix:
         return True
 
 
-def _h_action(k: int, lam) -> dict[AffinePermutation, int]:
-    """Endpoint multiplicities of iterated Pieri steps for the parts of lam."""
-    state = {AffinePermutation.identity(k): 1}
-    for part in lam:
-        nxt: dict[AffinePermutation, int] = {}
-        for u, c in state.items():
-            for v in pieri_kschur(u, part):
-                nxt[v] = nxt.get(v, 0) + c
-        state = nxt
-    return state
-
-
-def k_matrix(k: int, degree: int, threads: int = 1) -> KMatrix:
+def k_matrix(k: int, degree: int) -> KMatrix:
     """The triangular matrix linking h products to iterated Pieri endpoints.
 
-    Each row is one iterated-Pieri run.  `threads` is accepted for
-    compatibility and ignored.
+    Row lam counts the endpoints of Pieri steps from the identity, one
+    step for each part of lam.
     """
     rows = sorted(combinat.partitions_of(degree, max_part=k), key=_partition_sort_key)
     by_partition = {kbounded_of(u): u for u in grassmannians_of_length(k, degree)}
     columns = [by_partition[lam] for lam in rows]
     entries: dict[tuple[Partition, AffinePermutation], int] = {}
     for lam in rows:
-        for u, c in _h_action(k, lam).items():
-            entries[lam, u] = c
+        state = {AffinePermutation.identity(k): 1}
+        for part in lam:
+            nxt: dict[AffinePermutation, int] = {}
+            for u, c in state.items():
+                for v, ways in _segment_counts(u, part):
+                    nxt[v] = nxt.get(v, 0) + c * ways
+            state = nxt
+        entries.update(((lam, u), c) for u, c in state.items())
     return KMatrix(k, degree, rows, columns, entries)
 
 
@@ -191,17 +191,6 @@ def invert_k_matrix(km: KMatrix) -> dict[Partition, qsym.SymFn]:
 def kschur_in_h(u: AffinePermutation) -> qsym.SymFn:
     """Integer h-expansion of the k-Schur function indexed by u."""
     return invert_k_matrix(k_matrix(u.k, length_affine(u)))[kbounded_of(u)]
-
-
-@lru_cache(maxsize=1 << 12)
-def _segment_counts(u: AffinePermutation, m: int) -> tuple:
-    """Endpoint counts of cyclically increasing weak m-chains from u."""
-    acc: dict[AffinePermutation, int] = {}
-    for hours in combinations(range(u.k + 1), m):
-        end = _chain_end(u, cyclic_order(hours, u.k))
-        if end is not None:
-            acc[end] = acc.get(end, 0) + 1
-    return tuple(acc.items())
 
 
 def k_function_weak(u: AffinePermutation, w: AffinePermutation) -> qsym.QuasiSymFn:

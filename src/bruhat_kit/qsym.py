@@ -17,48 +17,65 @@ def _clean(terms: dict) -> dict:
     return {idx: c for idx, c in terms.items() if c != 0}
 
 
-class QuasiSymFn:
-    """A finitely supported integer combination of M- or F-basis elements."""
+class _Combination:
+    """A finitely supported integer combination in one basis.
+
+    Subclasses set _bases, the basis names they accept, _kind, their
+    name in errors, and _index, which validates one index.
+    """
 
     __slots__ = ("basis", "terms")
 
-    def __init__(self, basis: str, terms: dict[Composition, int] | None = None):
-        if basis not in (M, F):
-            raise ValueError(f"unknown quasisymmetric basis {basis!r}")
+    def __init__(self, basis: str, terms: dict | None = None):
+        if basis not in self._bases:
+            raise ValueError(f"unknown {self._kind} basis {basis!r}")
         self.basis = basis
-        self.terms = _clean({combinat.as_composition(i) if i else (): int(c)
+        self.terms = _clean({self._index(i) if i else (): int(c)
                              for i, c in (terms or {}).items()})
-
-    @classmethod
-    def unit(cls, basis: str = F) -> "QuasiSymFn":
-        return cls(basis, {(): 1})
-
-    @classmethod
-    def zero(cls, basis: str = F) -> "QuasiSymFn":
-        return cls(basis, {})
 
     def coeff(self, index) -> int:
         return self.terms.get(tuple(index), 0)
 
-    def degrees(self) -> set[int]:
-        return {sum(i) for i in self.terms}
-
-    def __add__(self, other: "QuasiSymFn") -> "QuasiSymFn":
+    def __add__(self, other):
         if self.basis != other.basis:
             raise ValueError("cannot add functions held in different bases")
         out = dict(self.terms)
         for i, c in other.terms.items():
             out[i] = out.get(i, 0) + c
-        return QuasiSymFn(self.basis, out)
+        return type(self)(self.basis, out)
 
-    def __sub__(self, other: "QuasiSymFn") -> "QuasiSymFn":
+    def __sub__(self, other):
         return self + (-1) * other
 
-    def __rmul__(self, scalar: int) -> "QuasiSymFn":
-        return QuasiSymFn(self.basis, {i: scalar * c for i, c in self.terms.items()})
+    def __rmul__(self, scalar: int):
+        return type(self)(self.basis, {i: scalar * c for i, c in self.terms.items()})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def __repr__(self):
+        body = " + ".join(f"{c}*{self.basis}{list(i)}"
+                          for i, c in sorted(self.terms.items(), reverse=True))
+        return body or "0"
+
+    def to_json(self) -> dict:
+        return {
+            "basis": self.basis,
+            "terms": [{"index": list(i), "coeff": c}
+                      for i, c in sorted(self.terms.items(), reverse=True)],
+        }
+
+
+class QuasiSymFn(_Combination):
+    """A finitely supported integer combination of M- or F-basis elements."""
+
+    __slots__ = ()
+    _bases = (M, F)
+    _kind = "quasisymmetric"
+    _index = staticmethod(combinat.as_composition)
+
+    def degrees(self) -> set[int]:
+        return {sum(i) for i in self.terms}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuasiSymFn):
@@ -68,56 +85,20 @@ class QuasiSymFn:
     def __hash__(self):
         return hash((QuasiSymFn, frozenset(to_m(self).terms.items())))
 
-    def __repr__(self):
-        body = " + ".join(f"{c}*{self.basis}{list(i)}"
-                          for i, c in sorted(self.terms.items(), reverse=True))
-        return body or "0"
-
     def dominates(self, other: "QuasiSymFn") -> bool:
         """Coefficientwise >= comparison, taken in this function's basis."""
         other = to_m(other) if self.basis == M else to_f(other)
         keys = set(self.terms) | set(other.terms)
         return all(self.terms.get(i, 0) >= other.terms.get(i, 0) for i in keys)
 
-    def to_json(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [{"index": list(i), "coeff": c}
-                      for i, c in sorted(self.terms.items(), reverse=True)],
-        }
 
-
-class SymFn:
+class SymFn(_Combination):
     """A finitely supported integer combination in the m, h or s basis."""
 
-    __slots__ = ("basis", "terms")
-
-    def __init__(self, basis: str, terms: dict[Partition, int] | None = None):
-        if basis not in ("m", "h", "s"):
-            raise ValueError(f"unknown symmetric basis {basis!r}")
-        self.basis = basis
-        self.terms = _clean({combinat.as_partition(i) if i else (): int(c)
-                             for i, c in (terms or {}).items()})
-
-    def coeff(self, index) -> int:
-        return self.terms.get(tuple(index), 0)
-
-    def __add__(self, other: "SymFn") -> "SymFn":
-        if self.basis != other.basis:
-            raise ValueError("cannot add functions held in different bases")
-        out = dict(self.terms)
-        for i, c in other.terms.items():
-            out[i] = out.get(i, 0) + c
-        return SymFn(self.basis, out)
-
-    def __sub__(self, other: "SymFn") -> "SymFn":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: int) -> "SymFn":
-        return SymFn(self.basis, {i: scalar * c for i, c in self.terms.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    __slots__ = ()
+    _bases = ("m", "h", "s")
+    _kind = "symmetric"
+    _index = staticmethod(combinat.as_partition)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymFn):
@@ -126,18 +107,6 @@ class SymFn:
 
     def __hash__(self):
         return hash((SymFn, self.basis, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*{self.basis}{list(i)}"
-                          for i, c in sorted(self.terms.items(), reverse=True))
-        return body or "0"
-
-    def to_json(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [{"index": list(i), "coeff": c}
-                      for i, c in sorted(self.terms.items(), reverse=True)],
-        }
 
 
 def f_sum(label_sequences) -> QuasiSymFn:

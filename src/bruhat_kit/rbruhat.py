@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 from . import qsym
 from .errors import CapExceeded, EmptyInterval, IdentityInput
-from .interval import HasseDAG
-
-DEFAULT_CAP = 10**6
+from .interval import DEFAULT_CAP, HasseDAG
 
 
 class FinitePermutation:
@@ -223,11 +221,11 @@ def interval_dag(u: FinitePermutation, w: FinitePermutation, r: int) -> HasseDAG
 
 
 def all_chains(u: FinitePermutation, w: FinitePermutation, r: int,
-               cap: int = DEFAULT_CAP, threads: int = 1) -> list[SchubertChain]:
+               cap: int = DEFAULT_CAP) -> list[SchubertChain]:
     """Every saturated chain of [u, w]_r, sorted lexicographically by steps.
 
     Raises CapExceeded before listing anything when there are more than
-    cap chains.  `threads` is accepted for compatibility and ignored.
+    cap chains.
     """
     dag = interval_dag(u, w, r)
     dag.check_cap(cap, "chain")
@@ -235,9 +233,9 @@ def all_chains(u: FinitePermutation, w: FinitePermutation, r: int,
 
 
 def k_function_r(u: FinitePermutation, w: FinitePermutation, r: int,
-                 cap: int = DEFAULT_CAP, threads: int = 1) -> qsym.QuasiSymFn:
+                 cap: int = DEFAULT_CAP) -> qsym.QuasiSymFn:
     """Sum of F over the descent compositions of all chain label sequences.
-    Cap as in all_chains; `threads` is accepted for compatibility and ignored."""
+    Cap as in all_chains."""
     return qsym.f_sum(c.labels for c in all_chains(u, w, r, cap=cap))
 
 

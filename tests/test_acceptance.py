@@ -42,9 +42,9 @@ def test_criterion_2_affine_interval():
     t0 = time.perf_counter()
     u = affineperm.parse_window("[-6,8,3,-1,4,13]", 5)
     w = affineperm.parse_window("[8,-6,-2,9,13,-1]", 5)
-    ps = affinegraph.paths(u, w, threads=1)
+    ps = affinegraph.paths(u, w)
     assert len(ps) == 240
-    kf = affinegraph.k_function_affine(u, w, threads=1)
+    kf = affinegraph.k_function_affine(u, w)
     assert kf.terms == {(1, 1, 1, 1): 9, (1, 1, 2): 30, (1, 2, 1): 51,
                         (1, 3): 30, (2, 1, 1): 30, (2, 2): 51, (3, 1): 30,
                         (4,): 9}

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -34,14 +36,14 @@ def test_affine_human(capsys):
 
 
 def test_affine_count_only_and_threads(capsys):
-    _, out1, _ = run(capsys, "affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]",
-                     "--w", "[8,-6,-2,9,13,-1]", "--threads", "1")
-    _, out4, _ = run(capsys, "affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]",
-                     "--w", "[8,-6,-2,9,13,-1]", "--threads", "4")
-    assert out1 == out4
     code, out, _ = run(capsys, "affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]",
                        "--w", "[8,-6,-2,9,13,-1]", "--count-only")
     assert code == 0 and "paths: 240" in out and "K_F" not in out
+    # there is no worker pool, so there is no --threads either
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]",
+                  "--w", "[8,-6,-2,9,13,-1]", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_weak_human(capsys):
@@ -93,6 +95,79 @@ def test_exit_code_parse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["affine", "--k", "not-an-int", "--u", "[1,2]", "--w", "[1,2]"])
     assert exc.value.code == 2
+
+
+MINIMAL_JOBS = {
+    "rbruhat": ["rbruhat", "--zeta", "3 6 2 5 4 1"],
+    "affine": ["affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]", "--w", "[8,-6,-2,9,13,-1]"],
+    "weak": ["weak", "--k", "2", "--u", "[0,2,4]", "--w", "[-3,4,5]"],
+    "kschur": ["kschur", "--k", "2", "--degree", "3"],
+    "core": ["core", "--k", "4", "--mu", "4,1,1"],
+    "embed": ["embed", "--zeta", "3 6 2 5 4 1"],
+    "relations": ["relations", "--k", "2", "--sweep", "1", "--rules", "C1"],
+}
+CAP_VERBS = ("rbruhat", "affine", "embed")
+
+
+@pytest.mark.parametrize("verb", sorted(MINIMAL_JOBS))
+def test_flag_contract(capsys, verb):
+    # --json on every verb, --cap where something is enumerated, --seed on
+    # the one randomized verb, and nothing else
+    parser = cli.build_parser()
+    assert parser.parse_args(MINIMAL_JOBS[verb] + ["--json"]).json
+    wanted = {"--cap": verb in CAP_VERBS, "--seed": verb == "relations", "--threads": False}
+    for flag, accepted in wanted.items():
+        argv = MINIMAL_JOBS[verb] + [flag, "5"]
+        if accepted:
+            assert getattr(parser.parse_args(argv), flag[2:]) == 5
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+def readme_commands():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("bruhat-kit ")]
+
+
+def test_readme_commands_parse_and_run(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
+        if argv[0] == "relations" and "1000" in argv:
+            continue  # parses; the full sweep is too slow for a unit test
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["relations", "--k", "0"],
+    ["relations", "--k", "-1", "--sweep", "5"],
+    ["relations", "--k", "2", "--sweep", "0"],
+    ["relations", "--k", "2", "--sweep", "-3"],
+    ["relations", "--k", "2", "--rules", ","],
+    MINIMAL_JOBS["rbruhat"] + ["--cap", "-1"],
+    MINIMAL_JOBS["affine"] + ["--cap", "-1"],
+    MINIMAL_JOBS["affine"] + ["--count-only", "--cap", "-1"],
+    MINIMAL_JOBS["embed"] + ["--verify", "--cap", "-1"],
+])
+def test_empty_sweeps_and_negative_caps_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("error: ")
+
+
+def test_relations_at_k1_skip_the_rules_that_need_k2(capsys):
+    # E1/E2 need a < b < c < d with c - a <= k, so at k = 1 they check
+    # nothing, as A does; C1 and D still run
+    code, out, err = run(capsys, "relations", "--k", "1", "--sweep", "5",
+                         "--rules", "A,E1,E2,C1,D")
+    assert code == 0 and err == ""
+    assert "A: checked 0" in out and "E1: checked 0" in out and "E2: checked 0" in out
+    assert "C1: checked 5" in out and "D: checked 5" in out
 
 
 def test_exit_code_precondition(capsys):
@@ -174,7 +249,7 @@ def test_kschur_invert_builds_the_matrix_once(capsys, monkeypatch):
     builds = []
     real = kschur.k_matrix
 
-    def counting(k, degree, threads=1):
+    def counting(k, degree):
         builds.append((k, degree))
         return real(k, degree)
 

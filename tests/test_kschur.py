@@ -232,10 +232,92 @@ def test_grassmannians_of_length_matches_kbounded_count():
 def test_kschur_in_h_rejects_a_broken_matrix(monkeypatch):
     real = kschur.k_matrix
 
-    def broken(k, degree, threads=1):
+    def broken(k, degree):
         km = real(k, degree)
         return kschur.KMatrix(k, degree, km.rows, km.columns, {})
 
     monkeypatch.setattr(kschur, "k_matrix", broken)
     with pytest.raises(NotUnitriangular):
         kschur.kschur_in_h(AffinePermutation((2, 4, 0)))
+
+
+def window_at(window, i):
+    n = len(window)
+    q, r = divmod(i - 1, n)
+    return window[r] + q * n
+
+
+def grassmannian_window(window):
+    """Whether the values 1..k+1 stand at increasing positions."""
+    n = len(window)
+    positions = []
+    for v in range(1, n + 1):
+        j = next(j for j in range(n) if (window[j] - v) % n == 0)
+        positions.append(j + 1 + v - window[j])
+    return all(a < b for a, b in zip(positions, positions[1:]))
+
+
+def weak_step(window, i):
+    """The window of u*s_i when that is a weak cover between grassmannians, else None."""
+    n = len(window)
+    if not window_at(window, i) < window_at(window, i + 1):
+        return None
+    out = tuple(window_at(window, p + 1) if (p - i) % n == 0
+                else window_at(window, p - 1) if (p - i - 1) % n == 0
+                else window[p - 1] for p in range(1, n + 1))
+    return out if grassmannian_window(out) else None
+
+
+def pieri_by_hours(window, m):
+    """Sorted endpoints of the weak chains that read m hours in cyclic order."""
+    k = len(window) - 1
+    ends = []
+    for hours in itertools.combinations(range(k + 1), m):
+        cut = min(set(range(k + 1)) - set(hours))
+        x = window
+        for i in [h for h in hours if h > cut] + [h for h in hours if h < cut]:
+            x = weak_step(x, i)
+            if x is None:
+                break
+        if x is not None:
+            ends.append(x)
+    return sorted(ends)
+
+
+def grassmannian_windows(k, top):
+    """Windows of the grassmannians of each length 0..top, grown by weak steps."""
+    layers = [{tuple(range(1, k + 2))}]
+    for _ in range(top):
+        layers.append({y for x in layers[-1] for i in range(k + 1)
+                       if (y := weak_step(x, i)) is not None})
+    return layers
+
+
+def test_pieri_kschur_matches_an_enumeration_by_hours():
+    for k in (2, 3, 4):
+        for d, layer in enumerate(grassmannian_windows(k, 5)):
+            assert len(layer) == len(combinat.partitions_of(d, max_part=k))
+            for window in layer:
+                u = AffinePermutation(window)
+                for m in range(1, k + 1):
+                    got = [v.window for v in kschur.pieri_kschur(u, m)]
+                    assert got == pieri_by_hours(window, m), (window, m)
+
+
+def test_k_matrix_entries_match_an_h_action_by_hours():
+    for k in (2, 3, 4):
+        layers = grassmannian_windows(k, 6)
+        for d in range(7):
+            km = kschur.k_matrix(k, d)
+            assert sorted(km.rows) == sorted(combinat.partitions_of(d, max_part=k))
+            assert {u.window for u in km.columns} == layers[d]
+            for lam in km.rows:
+                state = {tuple(range(1, k + 2)): 1}
+                for part in lam:
+                    nxt = {}
+                    for x, c in state.items():
+                        for y in pieri_by_hours(x, part):
+                            nxt[y] = nxt.get(y, 0) + c
+                    state = nxt
+                got = {u.window: km.entry(lam, u) for u in km.columns if km.entry(lam, u)}
+                assert got == state, (k, d, lam)
