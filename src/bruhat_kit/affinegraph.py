@@ -19,6 +19,7 @@ from . import qsym
 from .affineperm import AffinePermutation, is_grassmannian, length_affine, to_core
 from .errors import BadPair, CapExceeded, NotGrassmannian, PatternMismatch
 from .interval import DEFAULT_CAP, HasseDAG
+from .kschur import random_grassmannian
 
 
 def _check_pair(k: int, a: int, b: int) -> None:
@@ -42,22 +43,7 @@ def apply_t(u: AffinePermutation, a: int, b: int):
     _check_pair(u.k, a, b)
     if not (u(a) <= 0 < u(b)) or not is_bruhat_cover(u, a, b):
         return None
-    return _right_transpose(u, a, b)
-
-
-def _right_transpose(u: AffinePermutation, a: int, b: int) -> AffinePermutation:
-    n = u.k + 1
-    gap = b - a
-    ra, rb = a % n, b % n
-    window = []
-    for j in range(1, n + 1):
-        if j % n == ra:
-            window.append(u(j + gap))
-        elif j % n == rb:
-            window.append(u(j - gap))
-        else:
-            window.append(u.window[j - 1])
-    return AffinePermutation._trusted(tuple(window), u.k)
+    return u.right_transpose(a, b)
 
 
 def apply_word(u: AffinePermutation, word):
@@ -74,7 +60,6 @@ def apply_word(u: AffinePermutation, word):
 class AffineEdge:
     """One multigraph edge: the chosen representative pair and its target."""
 
-    source: AffinePermutation
     a: int
     b: int
     target: AffinePermutation
@@ -107,8 +92,8 @@ def edge_representatives(u: AffinePermutation, a: int, b: int) -> list[AffineEdg
     shifts = _rep_range(u, a0, b0)
     if not shifts or not is_bruhat_cover(u, a0, b0):
         return []
-    target = _right_transpose(u, a0, b0)
-    return [AffineEdge(u, a0 + m * n, b0 + m * n, target) for m in shifts]
+    target = u.right_transpose(a0, b0)
+    return [AffineEdge(a0 + m * n, b0 + m * n, target) for m in shifts]
 
 
 def out_edges(u: AffinePermutation) -> list[AffineEdge]:
@@ -487,8 +472,6 @@ _X_ATTEMPTS = 20000
 
 
 def _grassmannian_pool(k: int, rng) -> list:
-    from .kschur import random_grassmannian
-
     return [random_grassmannian(k, rng.randint(0, _POOL_MAX_LENGTH), rng)
             for _ in range(_POOL_SIZE)]
 

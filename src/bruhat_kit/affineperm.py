@@ -11,13 +11,13 @@ from functools import lru_cache
 
 from . import combinat
 from .combinat import Partition
-from .errors import KMismatch, NotACore, NotGrassmannian
+from .errors import BadPair, KMismatch, NotACore, NotGrassmannian
 
 
 class AffinePermutation:
     """An element of the affine symmetric group, given by k and a main window."""
 
-    __slots__ = ("k", "window", "_slot")
+    __slots__ = ("k", "window")
 
     def __init__(self, window, k: int | None = None):
         window = tuple(int(x) for x in window)
@@ -34,8 +34,6 @@ class AffinePermutation:
                 f"window sum must be {n * (n + 1) // 2}, got {sum(window)}: {window}")
         self.k = k
         self.window = window
-        # residue of value -> window slot (1-based), for O(1) value lookups
-        self._slot = {res: j + 1 for j, res in enumerate(residues)}
 
     @classmethod
     def _trusted(cls, window: tuple, k: int) -> "AffinePermutation":
@@ -43,8 +41,6 @@ class AffinePermutation:
         self = object.__new__(cls)
         self.k = k
         self.window = window
-        n = k + 1
-        self._slot = {w % n: j + 1 for j, w in enumerate(window)}
         return self
 
     @classmethod
@@ -72,8 +68,9 @@ class AffinePermutation:
     def position(self, value: int) -> int:
         """The unique position p with u(p) = value."""
         n = self.k + 1
-        j = self._slot[value % n]
-        return j + (value - self.window[j - 1])
+        for j, w in enumerate(self.window, 1):
+            if (value - w) % n == 0:
+                return j + (value - w)
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         if self.k != other.k:
@@ -81,16 +78,20 @@ class AffinePermutation:
         return AffinePermutation(
             (self(other(i)) for i in range(1, self.k + 2)), self.k)
 
-    def right_multiply_s(self, i: int) -> "AffinePermutation":
-        """u * s_i without building the generator (swap positions i, i+1 mod k+1)."""
+    def right_transpose(self, a: int, b: int) -> "AffinePermutation":
+        """u * t(a,b), where t(a,b) swaps positions a + m(k+1) and b + m(k+1) for all m."""
         n = self.k + 1
+        ja, jb = (a - 1) % n, (b - 1) % n  # 0-based window slots of positions a, b
+        if ja == jb:
+            raise BadPair(f"({a}, {b}) lie in one residue class mod {n}")
         w = list(self.window)
-        j = (i - 1) % n + 1       # window slot of position i
-        j2 = i % n + 1            # window slot of position i+1
-        off = (i - j)             # multiple of n
-        off2 = (i + 1 - j2)
-        w[j - 1], w[j2 - 1] = self(i + 1) - off, self(i) - off2
+        # shifting a position by a multiple of n shifts its value by the same amount
+        w[ja], w[jb] = self(b) - (a - 1 - ja), self(a) - (b - 1 - jb)
         return AffinePermutation._trusted(tuple(w), self.k)
+
+    def right_multiply_s(self, i: int) -> "AffinePermutation":
+        """u * s_i without building the generator: s_i = t(i, i+1)."""
+        return self.right_transpose(i, i + 1)
 
     def __eq__(self, other):
         if not isinstance(other, AffinePermutation):
@@ -98,7 +99,7 @@ class AffinePermutation:
         return self.k == other.k and self.window == other.window
 
     def __hash__(self):
-        return hash((self.k, self.window))
+        return hash(self.window)
 
     def __repr__(self):
         return f"AffinePermutation({list(self.window)})"

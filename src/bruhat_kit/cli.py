@@ -111,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sweep", type=int, default=1000, help="trials per rule")
     p.add_argument("--rules", default=",".join(affinegraph.ALL_RULES),
-                   help="comma list of rule tags")
+                   help="comma list of rule tags; A needs k >= 3 and B1, C2, E1, E2, F, "
+                        "X1-X6 need k >= 2: below that a rule reports checked 0 and "
+                        "does not fail the run")
     p.add_argument("--seed", type=int, default=0, help="seed of the sweeps")
     return top
 

@@ -107,26 +107,6 @@ def refinements(beta: Composition) -> list[Composition]:
     return out
 
 
-def coarsenings(alpha: Composition) -> list[Composition]:
-    """All compositions beta with refines(alpha, beta)."""
-    if not alpha:
-        return [()]
-    out = []
-    # choose which of the len(alpha)-1 internal boundaries survive
-    for mask in range(1 << (len(alpha) - 1)):
-        parts = []
-        acc = alpha[0]
-        for i in range(1, len(alpha)):
-            if mask >> (i - 1) & 1:
-                parts.append(acc)
-                acc = alpha[i]
-            else:
-                acc += alpha[i]
-        parts.append(acc)
-        out.append(tuple(parts))
-    return out
-
-
 def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
     """All partitions of n (parts <= max_part) in decreasing lex order.
 

@@ -102,7 +102,7 @@ def _map_steps(steps, s: int, u: AffinePermutation):
         nxt = affinegraph.apply_t(cur, a - s, b - s)
         if nxt is None:
             return None
-        edges.append(affinegraph.AffineEdge(cur, a - s, b - s, nxt))
+        edges.append(affinegraph.AffineEdge(a - s, b - s, nxt))
         cur = nxt
     return affinegraph.AffinePath(u, tuple(edges))
 

@@ -22,13 +22,7 @@ def weak_covers(u: AffinePermutation) -> list[tuple[int, AffinePermutation]]:
     """All (i, u*s_i) raising length by one and staying 0-grassmannian."""
     if not is_grassmannian(u):
         raise NotGrassmannian(f"{u.text()} is not 0-grassmannian")
-    out = []
-    for i in range(u.k + 1):
-        if u(i) < u(i + 1):  # right ascent, so length goes up
-            v = u.right_multiply_s(i)
-            if is_grassmannian(v):
-                out.append((i, v))
-    return out
+    return [(i, v) for i in range(u.k + 1) if (v := _chain_end(u, (i,))) is not None]
 
 
 def is_cyclically_increasing(labels, k: int) -> bool:
@@ -63,7 +57,7 @@ def _chain_end(u: AffinePermutation, labels) -> AffinePermutation | None:
     """Follow weak covers along the given labels; None if any step fails."""
     x = u
     for i in labels:
-        if not x(i) < x(i + 1):
+        if not x(i) < x(i + 1):  # needs a right ascent, so that the length goes up
             return None
         x = x.right_multiply_s(i)
         if not is_grassmannian(x):
@@ -73,7 +67,11 @@ def _chain_end(u: AffinePermutation, labels) -> AffinePermutation | None:
 
 @lru_cache(maxsize=1 << 12)
 def _segment_counts(u: AffinePermutation, m: int) -> tuple:
-    """Endpoint counts of cyclically increasing weak m-chains from u."""
+    """Endpoint counts of cyclically increasing weak m-chains from u.
+
+    Endpoints come in the order of their first hour set, so for m = 1 the
+    items are the weak covers of u by ascending i, each counted once.
+    """
     acc: dict[AffinePermutation, int] = {}
     for hours in combinations(range(u.k + 1), m):
         end = _chain_end(u, cyclic_order(hours, u.k))
@@ -96,16 +94,19 @@ def grassmannians_of_length(k: int, d: int) -> list[AffinePermutation]:
     """All 0-grassmannians of the given length, by breadth-first weak growth."""
     layer = {AffinePermutation.identity(k)}
     for _ in range(d):
-        layer = {v for u in layer for _, v in weak_covers(u)}
+        layer = {v for u in layer for v, _ in _segment_counts(u, 1)}
     return sorted(layer, key=lambda x: x.window)
 
 
 def random_grassmannian(k: int, length: int, rng) -> AffinePermutation:
-    """A random weak-order walk of the given length from the identity."""
+    """A random weak-order walk of the given length from the identity.
+
+    Each step draws one of the weak covers of u listed by ascending i;
+    seeded relation sweeps depend on that order.
+    """
     u = AffinePermutation.identity(k)
     for _ in range(length):
-        covers = weak_covers(u)
-        u = rng.choice(covers)[1]
+        u = rng.choice(_segment_counts(u, 1))[0]
     return u
 
 

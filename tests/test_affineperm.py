@@ -4,7 +4,7 @@ import pytest
 
 from bruhat_kit import affinegraph, affineperm, kschur
 from bruhat_kit.affineperm import AffinePermutation, CorePartition
-from bruhat_kit.errors import KMismatch, NotACore, NotGrassmannian
+from bruhat_kit.errors import BadPair, KMismatch, NotACore, NotGrassmannian
 
 
 def test_window_validation():
@@ -128,11 +128,39 @@ def test_right_multiply_s_agrees_with_multiply():
         assert u.right_multiply_s(i) == u * AffinePermutation.generator(5, i)
 
 
+def periodic_transposition(k, a, b):
+    """t(a,b) built from its own window: position p goes to p + (b - a) when
+    p = a mod k+1, to p - (b - a) when p = b mod k+1, and stays otherwise."""
+    n = k + 1
+    window = [p + (b - a) if (p - a) % n == 0 else p - (b - a) if (p - b) % n == 0 else p
+              for p in range(1, n + 1)]
+    return AffinePermutation(window, k)
+
+
+def test_right_transpose_agrees_with_multiply():
+    checked = 0
+    for k in range(1, 5):
+        n = k + 1
+        for d in range(7):
+            for u in kschur.grassmannians_of_length(k, d):
+                for a0 in range(1, n + 1):
+                    for gap in range(1, k + 1):
+                        for shift in range(-2, 3):
+                            a = a0 + shift * n
+                            got = u.right_transpose(a, a + gap)
+                            assert got == u * periodic_transposition(k, a, a + gap)
+                            checked += 1
+    assert checked == 4630
+    u = affineperm.parse_window("[-6,8,3,-1,4,13]")
+    with pytest.raises(BadPair):
+        u.right_transpose(2, 8)
+
+
 def test_trusted_constructor_builds_what_validation_builds():
     def same_as_validated(t):
         v = AffinePermutation(t.window, t.k)
         assert type(t.window) is tuple and all(type(x) is int for x in t.window)
-        assert (t.window, t.k, t._slot, hash(t)) == (v.window, v.k, v._slot, hash(v))
+        assert (t.window, t.k, hash(t)) == (v.window, v.k, hash(v))
         assert t == v
 
     checked = 0

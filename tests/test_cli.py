@@ -170,6 +170,13 @@ def test_relations_at_k1_skip_the_rules_that_need_k2(capsys):
     assert "C1: checked 5" in out and "D: checked 5" in out
 
 
+def test_relations_rule_below_its_minimum_k_checks_nothing_and_passes(capsys):
+    # A needs four distinct residues, so k >= 3; the run still exits 0
+    code, out, err = run(capsys, "relations", "--k", "2", "--rules", "A")
+    assert (code, err) == (0, "")
+    assert out == "A: checked 0, nonzero 0, failures 0\nok: True\n"
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "affine", "--k", "2", "--u", "[1,4,3]",
                        "--w", "[1,2,3]")

@@ -33,9 +33,6 @@ def test_refinement_enumeration_matches_predicate():
         for beta in comps:
             expect = {a for a in comps if combinat.refines(a, beta)}
             assert set(combinat.refinements(beta)) == expect
-        for alpha in comps:
-            expect = {b for b in comps if combinat.refines(alpha, b)}
-            assert set(combinat.coarsenings(alpha)) == expect
 
 
 def test_descent_composition():

@@ -1,0 +1,74 @@
+"""Byte-for-byte golden outputs of the command line.
+
+tests/golden/corpus.json holds, for each command below, its argv, its
+exit code and its exact --json stdout.  Record it again only when a
+change of output is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import functools
+import io
+import json
+import pathlib
+
+import pytest
+
+from bruhat_kit import cli
+from test_cli import readme_commands
+
+CORPUS = pathlib.Path(__file__).resolve().parent / "golden" / "corpus.json"
+RANK10_ZETA = "6 9 4 8 7 3 5 1 2"
+ALL_RULES = "A,B1,B2,C1,C2,D,E1,E2,F,X1,X2,X3,X4,X5,X6"
+
+
+def golden_commands() -> list[list[str]]:
+    """The README lines (less the slow 1000-trial sweep) and a small ladder."""
+    commands = [argv + ["--json"] for argv in readme_commands()
+                if not (argv[0] == "relations" and "1000" in argv)]
+    commands += [["relations", "--k", str(k), "--sweep", "25", "--seed", "1",
+                  "--rules", ALL_RULES, "--json"] for k in range(2, 6)]
+    commands += [["rbruhat", "--zeta", RANK10_ZETA, "--schur", "--json"],
+                 ["embed", "--zeta", RANK10_ZETA, "--verify", "--json"],
+                 ["kschur", "--k", "3", "--degree", "7", "--matrix", "--invert", "--json"]]
+    return commands
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@functools.cache
+def recorded() -> dict[tuple[str, ...], tuple[int, str]]:
+    return {tuple(case["argv"]): (case["exit"], case["stdout"])
+            for case in json.loads(CORPUS.read_text())}
+
+
+COMMANDS = golden_commands()
+
+
+def test_corpus_covers_the_golden_commands():
+    assert list(recorded()) == [tuple(argv) for argv in COMMANDS]
+
+
+@pytest.mark.parametrize("argv", COMMANDS,
+                         ids=[f"{i:02d}-{argv[0]}" for i, argv in enumerate(COMMANDS)])
+def test_output_matches_corpus(argv):
+    assert run_cli(argv) == recorded()[tuple(argv)]
+
+
+def record() -> None:
+    corpus = []
+    for argv in COMMANDS:
+        code, stdout = run_cli(argv)
+        corpus.append({"argv": argv, "exit": code, "stdout": stdout})
+    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
+    print(f"{len(corpus)} outputs recorded in {CORPUS}")
+
+
+if __name__ == "__main__":
+    record()

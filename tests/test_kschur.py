@@ -5,7 +5,7 @@ import pytest
 
 from bruhat_kit import affineperm, combinat, kschur, qsym
 from bruhat_kit.affineperm import AffinePermutation, length_affine
-from bruhat_kit.errors import MOutOfRange, NotUnitriangular
+from bruhat_kit.errors import MOutOfRange, NotGrassmannian, NotUnitriangular
 
 
 def test_weak_covers_examples():
@@ -25,6 +25,8 @@ def test_weak_cover_restriction_to_grassmannians():
     # id*s_1 raises length but leaves the grassmannian set, so it is not a cover
     ident = AffinePermutation.identity(2)
     assert all(i == 0 for i, _ in kschur.weak_covers(ident))
+    with pytest.raises(NotGrassmannian):
+        kschur.weak_covers(AffinePermutation((2, 1, 3)))
 
 
 def test_is_cyclically_increasing():
@@ -321,3 +323,30 @@ def test_k_matrix_entries_match_an_h_action_by_hours():
                     state = nxt
                 got = {u.window: km.entry(lam, u) for u in km.columns if km.entry(lam, u)}
                 assert got == state, (k, d, lam)
+
+
+def weak_cover_list(window):
+    """The weak covers (i, u*s_i) of a grassmannian window, by ascending i."""
+    return [(i, y) for i in range(len(window)) if (y := weak_step(window, i)) is not None]
+
+
+def test_weak_walks_replay_the_cover_list_in_ascending_i():
+    # the reference walk: each step is rng.choice over the covers by ascending i
+    def replay(k, length, rng):
+        window = tuple(range(1, k + 2))
+        for _ in range(length):
+            window = rng.choice(weak_cover_list(window))[1]
+        return window
+
+    for k in range(1, 6):
+        for length in range(10):
+            for seed in range(50):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                u = kschur.random_grassmannian(k, length, ours)
+                assert u.window == replay(k, length, theirs), (k, length, seed)
+                assert ours.getstate() == theirs.getstate()
+        for d, layer in enumerate(grassmannian_windows(k, 6)):
+            us = kschur.grassmannians_of_length(k, d)
+            assert [u.window for u in us] == sorted(layer)
+            for u in us:
+                assert [(i, v.window) for i, v in kschur.weak_covers(u)] == weak_cover_list(u.window)
