@@ -6,6 +6,10 @@ b for every representative pair (a, b) of a residue class with
 (zero counts as nonpositive).  Distinct representatives of one class
 give parallel edges with distinct labels but the same endpoints.
 
+A vertex's out-edges are read off its window: out_edges builds u(1..2(k+1))
+once, takes each a0's upper shift once, and reads every class's shift
+range and cover test from that tuple.
+
 Operator words act on the right, so words apply left to right.  Path
 counts, path lists and the K function are read off the interval's Hasse
 DAG (see interval.py).  Among 0-grassmannians the order is containment
@@ -29,13 +33,23 @@ def _check_pair(k: int, a: int, b: int) -> None:
         raise BadPair(f"gap {b - a} exceeds k={k} for ({a}, {b})")
 
 
+def _cover_at(vals, i: int, j: int) -> bool:
+    """Cover criterion at 0-based indices i < j of a run of consecutive
+    values u(p), u(p+1), ...: vals[i] < vals[j] and no entry between them
+    has a value between theirs."""
+    lo, hi = vals[i], vals[j]
+    if lo >= hi:
+        return False
+    for v in vals[i + 1:j]:
+        if lo < v < hi:
+            return False
+    return True
+
+
 def is_bruhat_cover(u: AffinePermutation, a: int, b: int) -> bool:
     """Cover criterion: u(a) < u(b) and no interior value lies between them."""
     _check_pair(u.k, a, b)
-    ua, ub = u(a), u(b)
-    if ua >= ub:
-        return False
-    return all(not (ua < u(i) < ub) for i in range(a + 1, b))
+    return _cover_at([u(i) for i in range(a, b + 1)], 0, b - a)
 
 
 def apply_t(u: AffinePermutation, a: int, b: int):
@@ -69,40 +83,51 @@ class AffineEdge:
         return self.b
 
 
-def _rep_range(u: AffinePermutation, a: int, b: int) -> range:
-    """Shifts m for which u(a + m(k+1)) <= 0 < u(b + m(k+1))."""
+def _window_values(u: AffinePermutation) -> tuple:
+    """u(1), ..., u(2(k+1)): every position of a pair (a0, a0 + gap) with
+    1 <= a0 <= k+1 and 0 < gap <= k."""
     n = u.k + 1
-    m_lo = -((u(b) - 1) // n)
-    m_hi = (-u(a)) // n
-    return range(m_lo, m_hi + 1)
+    return u.window + tuple(v + n for v in u.window)
+
+
+def _class_edges(u: AffinePermutation, vals: tuple, a0: int, gaps) -> list[AffineEdge]:
+    """The parallel edges of the classes of (a0, a0 + gap), 1 <= a0 <= k+1,
+    gap by gap, each in shift order.
+
+    vals is _window_values(u).  The representatives (a0 + m(k+1), b0 + m(k+1))
+    with u(a0 + m(k+1)) <= 0 < u(b0 + m(k+1)) are the shifts m_lo..m_hi; the
+    range is finite because the entries of each class are unbounded in both
+    directions.  The cover criterion is invariant under shifting both
+    endpoints by k+1, so it is tested once per class, at m = 0.
+    """
+    n = u.k + 1
+    m_hi = (-vals[a0 - 1]) // n
+    edges = []
+    for gap in gaps:
+        b0 = a0 + gap
+        m_lo = -((vals[b0 - 1] - 1) // n)
+        if m_lo > m_hi or not _cover_at(vals, a0 - 1, b0 - 1):
+            continue
+        target = u.right_transpose(a0, b0)
+        edges += [AffineEdge(a0 + m * n, b0 + m * n, target) for m in range(m_lo, m_hi + 1)]
+    return edges
 
 
 def edge_representatives(u: AffinePermutation, a: int, b: int) -> list[AffineEdge]:
-    """All parallel edges of the residue class of (a, b), in shift order.
-
-    The cover criterion is invariant under shifting both endpoints by
-    k+1, so it is tested once; only the sign window depends on the
-    shift, and it is finite because the entries of each class are
-    unbounded in both directions.
-    """
+    """All parallel edges of the residue class of (a, b), in shift order."""
     n = u.k + 1
     a0 = (a - 1) % n + 1
-    b0 = a0 + (b - a)
-    _check_pair(u.k, a0, b0)
-    shifts = _rep_range(u, a0, b0)
-    if not shifts or not is_bruhat_cover(u, a0, b0):
-        return []
-    target = u.right_transpose(a0, b0)
-    return [AffineEdge(a0 + m * n, b0 + m * n, target) for m in shifts]
+    _check_pair(u.k, a0, a0 + (b - a))
+    return _class_edges(u, _window_values(u), a0, (b - a,))
 
 
 def out_edges(u: AffinePermutation) -> list[AffineEdge]:
     """Every edge leaving u, over all residue classes and representatives."""
-    n = u.k + 1
+    vals = _window_values(u)
+    gaps = range(1, u.k + 1)
     edges = []
-    for a0 in range(1, n + 1):
-        for gap in range(1, u.k + 1):
-            edges.extend(edge_representatives(u, a0, a0 + gap))
+    for a0 in range(1, u.k + 2):
+        edges += _class_edges(u, vals, a0, gaps)
     return edges
 
 

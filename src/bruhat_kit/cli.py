@@ -7,7 +7,8 @@ functions (F[1,2,1], S[2,1], windows as [-6,8,...]); --json emits the
 versioned structured schema instead.
 
 Exit codes: 0 ok, 2 argument parse error, 3 precondition violation,
-4 enumeration cap exceeded.
+4 enumeration cap exceeded, 5 verification failed (embed --verify,
+relations).
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 from functools import cache
 
 from . import affinegraph, affineperm, combinat, embedding, interval, kschur, qsym, rbruhat
-from .errors import BruhatKitError, CapExceeded
+from .errors import BruhatKitError, CapExceeded, VerificationFailed
 
 SCHEMA = "bruhat-kit/1"
 
@@ -254,7 +255,7 @@ def _run_embed(args) -> int:
                         "K_domination": report.dominated})
         if not report.ok:
             _emit(args, payload, lines)
-            raise BruhatKitError(f"embedding verification failed: {report.failures}")
+            raise VerificationFailed(f"embedding verification failed: {report.failures}")
     _emit(args, payload, lines)
     return 0
 
@@ -284,7 +285,10 @@ def _run_relations(args) -> int:
     payload = {"verb": "relations", "k": args.k, "seed": args.seed,
                "trials": args.sweep, "results": results, "ok": ok}
     _emit(args, payload, lines + [f"ok: {ok}"])
-    return 0 if ok else 3
+    if not ok:
+        failed = ", ".join(r["rule"] for r in results if r["failures"])
+        raise VerificationFailed(f"relations failed: {failed}")
+    return 0
 
 
 _RUNNERS = {
@@ -307,6 +311,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except VerificationFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except (BruhatKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,7 +2,8 @@
 
 Operator evaluations that hit the zero of the monoid return ``None``
 rather than raising; these exceptions are reserved for genuine contract
-violations (bad input, empty intervals, blown enumeration caps).
+violations (bad input, empty intervals, blown enumeration caps) and for
+verifications that ran and found their claim false.
 """
 
 
@@ -28,6 +29,10 @@ class EmptyInterval(BruhatKitError):
 
 class CapExceeded(BruhatKitError):
     """An enumeration exceeded the configured cap."""
+
+
+class VerificationFailed(BruhatKitError):
+    """A verification ran to the end and found a claim false."""
 
 
 class NotGrassmannian(BruhatKitError):

@@ -3,10 +3,12 @@
 A cover in the r-Bruhat order swaps two values a < b sitting on either
 side of position r while raising the length by one; the edge label is b.
 The chains of an interval are read off its Hasse DAG (see interval.py),
-for which this module supplies the covers.  Chains are stored in
-application order (first step first).  Rendered operator words follow
-the right-to-left convention, so the displayed word lists the last step
-first.
+for which this module supplies the covers.  A vertex's steps are read off
+its image tuple, padded with fixed points to the interval's size, and one
+positional test on that tuple decides whether a swap is a cover.  Chains
+are stored in application order (first step first).  Rendered operator
+words follow the right-to-left convention, so the displayed word lists
+the last step first.
 """
 
 from dataclasses import dataclass
@@ -22,12 +24,17 @@ class FinitePermutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
-        while images and images[-1] == len(images):
-            images = images[:-1]
+        images = _strip_fixed_tail(tuple(int(x) for x in images))
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..n: {images}")
         self.images = images
+
+    @classmethod
+    def _trusted(cls, images) -> "FinitePermutation":
+        """Build from ints that are a permutation of 1..n by construction; no checks."""
+        self = object.__new__(cls)
+        self.images = _strip_fixed_tail(tuple(images))
+        return self
 
     @classmethod
     def identity(cls) -> "FinitePermutation":
@@ -72,6 +79,20 @@ class FinitePermutation:
         return " ".join(str(v) for v in self.images) if self.images else "1"
 
 
+def _strip_fixed_tail(images: tuple) -> tuple:
+    """Drop the trailing fixed points, so each permutation has one image tuple."""
+    n = len(images)
+    while n and images[n - 1] == n:
+        n -= 1
+    return images[:n]
+
+
+def _padded(u: FinitePermutation, n: int) -> tuple:
+    """The images u(1), ..., u(max(n, len(u)))."""
+    im = u.images
+    return im + tuple(range(len(im) + 1, n + 1))
+
+
 def parse_permutation(text: str) -> FinitePermutation:
     """Parse a space- or comma-separated one-line permutation."""
     parts = text.replace(",", " ").split()
@@ -86,18 +107,27 @@ def length(u: FinitePermutation) -> int:
 
 def swap_values(u: FinitePermutation, a: int, b: int) -> FinitePermutation:
     """Left multiplication by the transposition of values a and b."""
-    n = max(len(u.images), a, b)
-    im = [u(i) for i in range(1, n + 1)]
+    im = list(_padded(u, max(a, b)))
     pa, pb = im.index(a), im.index(b)
     im[pa], im[pb] = im[pb], im[pa]
-    return FinitePermutation(im)
+    return FinitePermutation._trusted(im)
+
+
+def _nothing_between(im: tuple, i: int, j: int) -> bool:
+    """Whether no entry at a 0-based position strictly between i and j of an
+    image tuple has a value strictly between im[i] and im[j]."""
+    a, b = im[i], im[j]
+    for v in im[i + 1:j]:
+        if a < v < b:
+            return False
+    return True
 
 
 def is_cover(u: FinitePermutation, a: int, b: int) -> bool:
     """True when swapping the values a < b raises the length by exactly one:
     a stands left of b and no value between them stands between them."""
     pa, pb = u.position(a), u.position(b)
-    return pa < pb and not any(a < u(p) < b for p in range(pa + 1, pb))
+    return pa < pb and _nothing_between(_padded(u, pb), pa - 1, pb - 1)
 
 
 def apply_u(u: FinitePermutation, a: int, b: int, r: int):
@@ -195,14 +225,24 @@ def first_chain(u: FinitePermutation, w: FinitePermutation, r: int) -> SchubertC
     return SchubertChain(u, tuple(steps))
 
 
-def _cover_steps(x: FinitePermutation, w: FinitePermutation, r: int, n: int):
+def _cover_steps(x: FinitePermutation, wi: tuple, r: int):
     """Sorted cover steps (a, b) from x that stay entrywise between x and w.
 
-    Position i <= r gains b and position j > r drops to a, so b <= w(i)
-    and a >= w(j).
+    wi holds w(1..n).  Position i <= r gains b and position j > r drops to
+    a, so b <= w(i) and a >= w(j); a position i with x(i) >= w(i) has no step.
     """
-    return sorted((x(i), x(j)) for i in range(1, r + 1) for j in range(r + 1, n + 1)
-                  if x(i) < x(j) <= w(i) and x(i) >= w(j) and is_cover(x, x(i), x(j)))
+    xi = _padded(x, len(wi))
+    steps = []
+    for i in range(r):
+        a, top = xi[i], wi[i]
+        if a >= top:
+            continue
+        for j in range(r, len(wi)):
+            b = xi[j]
+            if a < b <= top and a >= wi[j] and _nothing_between(xi, i, j):
+                steps.append((a, b))
+    steps.sort()
+    return steps
 
 
 def interval_dag(u: FinitePermutation, w: FinitePermutation, r: int) -> HasseDAG:
@@ -213,11 +253,11 @@ def interval_dag(u: FinitePermutation, w: FinitePermutation, r: int) -> HasseDAG
     """
     n = max(len(u.images), len(w.images), r + 1)
     budget = length(w) - length(u)
-    if any(u(i) > w(i) for i in range(1, r + 1)) or \
-       any(u(j) < w(j) for j in range(r + 1, n + 1)):
+    ui, wi = _padded(u, n), _padded(w, n)
+    if any(ui[i] > wi[i] for i in range(r)) or any(ui[j] < wi[j] for j in range(r, n)):
         budget = -1
     return HasseDAG(u, w, budget, lambda x, _: [((a, b), b, swap_values(x, a, b))
-                                                for a, b in _cover_steps(x, w, r, n)])
+                                                for a, b in _cover_steps(x, wi, r)])
 
 
 def all_chains(u: FinitePermutation, w: FinitePermutation, r: int,

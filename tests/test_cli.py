@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import pathlib
 import shlex
 
 import pytest
 
-from bruhat_kit import affineperm, cli, combinat, kschur
+from bruhat_kit import affinegraph, affineperm, cli, combinat, embedding, kschur
 
 
 def run(capsys, *argv):
@@ -187,6 +188,30 @@ def test_exit_code_cap(capsys):
     code, _, err = run(capsys, "affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]",
                        "--w", "[8,-6,-2,9,13,-1]", "--cap", "10")
     assert code == 4 and "cap" in err
+
+
+def test_failed_embedding_verification_exits_5(capsys, monkeypatch):
+    verify = embedding.verify_embedding
+    monkeypatch.setattr(embedding, "verify_embedding", lambda data, cap: dataclasses.replace(
+        verify(data, cap=cap), dominated=False, failures=["forced"]))
+    code, out, err = run(capsys, "embed", "--zeta", "3 6 2 5 4 1", "--verify")
+    assert code == 5 and "K_domination: False" in out
+    assert err == "error: embedding verification failed: ['forced']\n"
+
+
+def test_failed_relation_sweep_exits_5(capsys, monkeypatch):
+    sweep = affinegraph.sweep_relation
+
+    def failing_c1(tag, k, trials, rng):
+        result = sweep(tag, k, trials, rng)
+        if tag == "C1":
+            result.failures.append("forced")
+        return result
+
+    monkeypatch.setattr(affinegraph, "sweep_relation", failing_c1)
+    code, out, err = run(capsys, "relations", "--k", "2", "--sweep", "5", "--rules", "B2,C1")
+    assert code == 5 and out.endswith("C1: checked 5, nonzero 5, failures 1\nok: False\n")
+    assert err == "error: relations failed: C1\n"
 
 
 def test_kschur_verb(capsys):

@@ -20,6 +20,9 @@ from test_cli import readme_commands
 
 CORPUS = pathlib.Path(__file__).resolve().parent / "golden" / "corpus.json"
 RANK10_ZETA = "6 9 4 8 7 3 5 1 2"
+# u = 1 3 2 is shorter than w = 3 5 1 2 4: its chains swap values past u's stored images
+PADDED_ZETA = "3 1 5 2 4"
+RANK8_AFFINE = ["affine", "--k", "5", "--u", "[3,-1,0,7,8,4]", "--w", "[3,-6,-1,13,4,8]"]
 ALL_RULES = "A,B1,B2,C1,C2,D,E1,E2,F,X1,X2,X3,X4,X5,X6"
 
 
@@ -32,6 +35,10 @@ def golden_commands() -> list[list[str]]:
     commands += [["rbruhat", "--zeta", RANK10_ZETA, "--schur", "--json"],
                  ["embed", "--zeta", RANK10_ZETA, "--verify", "--json"],
                  ["kschur", "--k", "3", "--degree", "7", "--matrix", "--invert", "--json"]]
+    commands += [RANK8_AFFINE + ["--json"], RANK8_AFFINE + ["--count-only", "--json"]]
+    commands += [["kschur", "--k", str(k), "--degree", "9", "--matrix", "--invert", "--json"]
+                 for k in range(3, 6)]
+    commands += [["rbruhat", "--zeta", PADDED_ZETA, "--chains", "--schur", "--json"]]
     return commands
 
 

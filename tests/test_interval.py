@@ -44,25 +44,57 @@ def test_affine_job_expands_each_vertex_once(monkeypatch, capsys):
     assert seen and max(seen.values()) == 1
 
 
-def brute_chain_count(u, w, r):
-    """Saturated r-Bruhat chains from u to w, by covers tested through length."""
+def padded(x, n):
+    """x(1), ..., x(n) as a list."""
+    return list(x.images) + list(range(len(x.images) + 1, n + 1))
+
+
+def brute_label_sequences(u, w, r):
+    """Label sequences of the saturated r-Bruhat chains from u to w: every swap
+    of values a < b across r is tried and kept when it raises the length by one."""
     n = max(len(u.images), len(w.images), r + 1)
     top = rbruhat.length(w)
 
     @cache
-    def count(x):
+    def suffixes(x):
         lx = rbruhat.length(x)
         if lx == top:
-            return int(x == w)
-        total = 0
-        for a, b in itertools.product(range(1, n + 1), repeat=2):
-            if a < b and x.position(a) <= r < x.position(b):
-                y = rbruhat.swap_values(x, a, b)
+            return [()] if x == w else []
+        found = []
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            if x.position(a) <= r < x.position(b):
+                y = P([b if v == a else a if v == b else v for v in padded(x, n)])
                 if rbruhat.length(y) == lx + 1:
-                    total += count(y)
-        return total
+                    found += [(b,) + rest for rest in suffixes(y)]
+        return found
 
-    return count(u)
+    return suffixes(u)
+
+
+def test_every_interval_of_s6_agrees_with_brute_force():
+    intervals = 0
+    for images in itertools.permutations(range(1, 7)):
+        zeta = P(images)
+        if not zeta.images:
+            continue
+        intervals += 1
+        u, w, r = rbruhat.interval_from_zeta(zeta)
+        labels = brute_label_sequences(u, w, r)
+        dag = rbruhat.interval_dag(u, w, r)
+        assert dag.count() == len(labels), images
+        kf = qsym.f_sum(labels)
+        assert rbruhat.k_function_r(u, w, r).terms == kf.terms == dag.k_function().terms, images
+    assert intervals == 719
+
+
+def test_swap_values_matches_the_validating_constructor():
+    for images in itertools.permutations(range(1, 6)):
+        x = P(images)
+        for a, b in itertools.permutations(range(1, 8), 2):
+            im = padded(x, 7)
+            pa, pb = im.index(a), im.index(b)
+            im[pa], im[pb] = b, a
+            assert rbruhat.swap_values(x, a, b).images == P(im).images, (images, a, b)
 
 
 zetas = st.integers(5, 8).flatmap(lambda n: st.permutations(range(1, n + 1)))
@@ -75,7 +107,7 @@ def test_dag_count_k_and_symmetry_agree_with_brute_force(images):
     assume(zeta.images)
     u, w, r = rbruhat.interval_from_zeta(zeta)
     count = rbruhat.interval_dag(u, w, r).count()
-    assert count == len(rbruhat.all_chains(u, w, r)) == brute_chain_count(u, w, r)
+    assert count == len(rbruhat.all_chains(u, w, r)) == len(brute_label_sequences(u, w, r))
     kf = rbruhat.k_function_r(u, w, r)
     assert sum(kf.terms.values()) == count
     assert qsym.is_symmetric(kf)
