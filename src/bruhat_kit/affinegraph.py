@@ -8,7 +8,7 @@ give parallel edges with distinct labels but the same endpoints.
 
 A vertex's out-edges are read off its window: out_edges builds u(1..2(k+1))
 once, takes each a0's upper shift once, and reads every class's shift
-range and cover test from that tuple.
+range and cover test (interval.nothing_between) from that tuple.
 
 Operator words act on the right, so words apply left to right.  Path
 counts, path lists and the K function are read off the interval's Hasse
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from . import qsym
 from .affineperm import AffinePermutation, is_grassmannian, length_affine, to_core
 from .errors import BadPair, CapExceeded, NotGrassmannian, PatternMismatch
-from .interval import DEFAULT_CAP, HasseDAG
+from .interval import DEFAULT_CAP, HasseDAG, nothing_between
 from .kschur import random_grassmannian
 
 
@@ -33,23 +33,10 @@ def _check_pair(k: int, a: int, b: int) -> None:
         raise BadPair(f"gap {b - a} exceeds k={k} for ({a}, {b})")
 
 
-def _cover_at(vals, i: int, j: int) -> bool:
-    """Cover criterion at 0-based indices i < j of a run of consecutive
-    values u(p), u(p+1), ...: vals[i] < vals[j] and no entry between them
-    has a value between theirs."""
-    lo, hi = vals[i], vals[j]
-    if lo >= hi:
-        return False
-    for v in vals[i + 1:j]:
-        if lo < v < hi:
-            return False
-    return True
-
-
 def is_bruhat_cover(u: AffinePermutation, a: int, b: int) -> bool:
     """Cover criterion: u(a) < u(b) and no interior value lies between them."""
     _check_pair(u.k, a, b)
-    return _cover_at([u(i) for i in range(a, b + 1)], 0, b - a)
+    return nothing_between([u(i) for i in range(a, b + 1)], 0, b - a)
 
 
 def apply_t(u: AffinePermutation, a: int, b: int):
@@ -106,7 +93,7 @@ def _class_edges(u: AffinePermutation, vals: tuple, a0: int, gaps) -> list[Affin
     for gap in gaps:
         b0 = a0 + gap
         m_lo = -((vals[b0 - 1] - 1) // n)
-        if m_lo > m_hi or not _cover_at(vals, a0 - 1, b0 - 1):
+        if m_lo > m_hi or not nothing_between(vals, a0 - 1, b0 - 1):
             continue
         target = u.right_transpose(a0, b0)
         edges += [AffineEdge(a0 + m * n, b0 + m * n, target) for m in range(m_lo, m_hi + 1)]

@@ -196,41 +196,6 @@ def _horizontal_strips_below(lam: Partition, size: int):
     yield from go(0, size, [])
 
 
-def ssyt_count_bruteforce(lam: Partition, mu: Composition) -> int:
-    """Count SSYT of shape lam, content mu by explicit cell-by-cell filling.
-
-    Independent of :func:`kostka`; intended as a desk-scale oracle.
-    """
-    lam = tuple(lam)
-    mu = tuple(mu)
-    if sum(lam) != sum(mu):
-        return 0
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
-    counts = list(mu)
-    rows = [[0] * ln for ln in lam]
-
-    def go(idx):
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        total = 0
-        for letter in range(1, len(mu) + 1):
-            if counts[letter - 1] == 0:
-                continue
-            if c > 0 and rows[r][c - 1] > letter:
-                continue
-            if r > 0 and rows[r - 1][c] >= letter:
-                continue
-            rows[r][c] = letter
-            counts[letter - 1] -= 1
-            total += go(idx + 1)
-            counts[letter - 1] += 1
-            rows[r][c] = 0
-        return total
-
-    return go(0)
-
-
 def distinct_rearrangements(lam: Partition) -> set[Composition]:
     """All compositions with the same part multiset as lam.
 

@@ -132,9 +132,12 @@ class EmbeddingReport:
 
 
 def verify_embedding(e: EmbeddingData, cap: int = DEFAULT_CAP) -> EmbeddingReport:
-    """Map every chain of the source interval and compare the K functions."""
+    """Map every chain of the source interval and compare the K functions;
+    one finite DAG, capped as in rbruhat.all_chains, gives the chains and K."""
     x, y, r = e.source_interval
-    chains = rbruhat.all_chains(x, y, r, cap=cap)
+    dag = rbruhat.interval_dag(x, y, r)
+    dag.check_cap(cap, "chain")
+    chains = [SchubertChain(x, steps) for steps in dag.walks()]
     failures = []
     nonzero = 0
     endpoints = set()
@@ -146,7 +149,7 @@ def verify_embedding(e: EmbeddingData, cap: int = DEFAULT_CAP) -> EmbeddingRepor
         nonzero += 1
         endpoints.add(img.end())
     common = len(endpoints) == 1 and (not chains or endpoints == {e.v})
-    k_schub = rbruhat.k_function_r(x, y, r, cap=cap)
+    k_schub = dag.k_function()
     # the cap bounds the affine vertex sweep only, never the path count
     k_aff = affinegraph.interval_dag(e.u, e.v, cap).k_function()
     dominated = k_aff.dominates(k_schub)

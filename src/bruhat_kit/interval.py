@@ -1,4 +1,5 @@
-"""The Hasse DAG of a graded interval, and the chain functions read off it.
+"""The Hasse DAG of a graded interval, the chain functions read off it,
+and the positional cover rule that both orders share.
 
 An adapter supplies the out-steps of a vertex; the DAG asks for them once
 per vertex, rank by rank from the start, then prunes what cannot reach
@@ -10,6 +11,19 @@ from . import qsym
 from .errors import CapExceeded
 
 DEFAULT_CAP = 10**6
+
+
+def nothing_between(vals, i: int, j: int) -> bool:
+    """The cover rule at 0-based positions i < j of a run of values:
+    vals[i] < vals[j] and no entry strictly between the two positions
+    has a value strictly between theirs."""
+    lo, hi = vals[i], vals[j]
+    if lo >= hi:
+        return False
+    for v in vals[i + 1:j]:
+        if lo < v < hi:
+            return False
+    return True
 
 
 class HasseDAG:

@@ -28,20 +28,15 @@ def weak_covers(u: AffinePermutation) -> list[tuple[int, AffinePermutation]]:
 def is_cyclically_increasing(labels, k: int) -> bool:
     """Distinct hours read clockwise, with the smallest missing hour as the cut.
 
-    Relabeling each hour by its clockwise distance from the smallest
-    absent hour must give a strictly increasing sequence; at most k of
-    the k+1 hours may be used.
+    At most k of the k+1 hours may be used, and they must stand in their
+    cyclic_order, which lists each hour once, so a repeated hour fails.
     """
     labels = tuple(labels)
     if not 1 <= len(labels) <= k:
         return False
     if any(not 0 <= x <= k for x in labels):
         return False
-    if len(set(labels)) != len(labels):
-        return False
-    j0 = min(set(range(k + 1)) - set(labels))
-    mapped = [(x - j0) % (k + 1) for x in labels]
-    return all(mapped[i] < mapped[i + 1] for i in range(len(mapped) - 1))
+    return labels == cyclic_order(labels, k)
 
 
 def cyclic_order(hours, k: int) -> tuple[int, ...]:

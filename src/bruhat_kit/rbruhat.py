@@ -3,19 +3,20 @@
 A cover in the r-Bruhat order swaps two values a < b sitting on either
 side of position r while raising the length by one; the edge label is b.
 The chains of an interval are read off its Hasse DAG (see interval.py),
-for which this module supplies the covers.  A vertex's steps are read off
-its image tuple, padded with fixed points to the interval's size, and one
-positional test on that tuple decides whether a swap is a cover.  Chains
-are stored in application order (first step first).  Rendered operator
-words follow the right-to-left convention, so the displayed word lists
-the last step first.
+for which this module supplies the covers.  The DAG's vertices are image
+tuples padded with fixed points to the interval's size; a vertex's steps
+are read off its tuple, and the positional rule shared with the affine
+order (interval.nothing_between) decides whether a swap is a cover.
+Chains are stored in application order (first step first).  Rendered
+operator words follow the right-to-left convention, so the displayed
+word lists the last step first.
 """
 
 from dataclasses import dataclass
 
 from . import qsym
 from .errors import CapExceeded, EmptyInterval, IdentityInput
-from .interval import DEFAULT_CAP, HasseDAG
+from .interval import DEFAULT_CAP, HasseDAG, nothing_between
 
 
 class FinitePermutation:
@@ -28,13 +29,6 @@ class FinitePermutation:
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..n: {images}")
         self.images = images
-
-    @classmethod
-    def _trusted(cls, images) -> "FinitePermutation":
-        """Build from ints that are a permutation of 1..n by construction; no checks."""
-        self = object.__new__(cls)
-        self.images = _strip_fixed_tail(tuple(images))
-        return self
 
     @classmethod
     def identity(cls) -> "FinitePermutation":
@@ -110,24 +104,14 @@ def swap_values(u: FinitePermutation, a: int, b: int) -> FinitePermutation:
     im = list(_padded(u, max(a, b)))
     pa, pb = im.index(a), im.index(b)
     im[pa], im[pb] = im[pb], im[pa]
-    return FinitePermutation._trusted(im)
-
-
-def _nothing_between(im: tuple, i: int, j: int) -> bool:
-    """Whether no entry at a 0-based position strictly between i and j of an
-    image tuple has a value strictly between im[i] and im[j]."""
-    a, b = im[i], im[j]
-    for v in im[i + 1:j]:
-        if a < v < b:
-            return False
-    return True
+    return FinitePermutation(im)
 
 
 def is_cover(u: FinitePermutation, a: int, b: int) -> bool:
     """True when swapping the values a < b raises the length by exactly one:
     a stands left of b and no value between them stands between them."""
     pa, pb = u.position(a), u.position(b)
-    return pa < pb and _nothing_between(_padded(u, pb), pa - 1, pb - 1)
+    return pa < pb and nothing_between(_padded(u, pb), pa - 1, pb - 1)
 
 
 def apply_u(u: FinitePermutation, a: int, b: int, r: int):
@@ -225,13 +209,14 @@ def first_chain(u: FinitePermutation, w: FinitePermutation, r: int) -> SchubertC
     return SchubertChain(u, tuple(steps))
 
 
-def _cover_steps(x: FinitePermutation, wi: tuple, r: int):
-    """Sorted cover steps (a, b) from x that stay entrywise between x and w.
+def _cover_steps(xi: tuple, wi: tuple, r: int):
+    """The cover steps from x that stay entrywise between x and w, as
+    ((a, b), b, y) triples sorted by (a, b), where y is xi with a and b swapped.
 
-    wi holds w(1..n).  Position i <= r gains b and position j > r drops to
-    a, so b <= w(i) and a >= w(j); a position i with x(i) >= w(i) has no step.
+    xi and wi hold x(1..n) and w(1..n).  Position i <= r gains b and
+    position j > r drops to a, so b <= w(i) and a >= w(j); a position i
+    with x(i) >= w(i) has no step.
     """
-    xi = _padded(x, len(wi))
     steps = []
     for i in range(r):
         a, top = xi[i], wi[i]
@@ -239,8 +224,10 @@ def _cover_steps(x: FinitePermutation, wi: tuple, r: int):
             continue
         for j in range(r, len(wi)):
             b = xi[j]
-            if a < b <= top and a >= wi[j] and _nothing_between(xi, i, j):
-                steps.append((a, b))
+            if b <= top and a >= wi[j] and nothing_between(xi, i, j):
+                y = list(xi)
+                y[i], y[j] = b, a
+                steps.append(((a, b), b, tuple(y)))
     steps.sort()
     return steps
 
@@ -248,16 +235,17 @@ def _cover_steps(x: FinitePermutation, wi: tuple, r: int):
 def interval_dag(u: FinitePermutation, w: FinitePermutation, r: int) -> HasseDAG:
     """The Hasse DAG of [u, w]_r; steps are (a, b) pairs labeled b.
 
-    The rewrite relations are deliberately not used here so they stay an
-    independent check on the chain set.
+    Vertices are image tuples x(1..n) padded with fixed points to the
+    interval's size n, so the DAG's start, end and layers hold tuples,
+    not FinitePermutations.  The rewrite relations are deliberately not
+    used here so they stay an independent check on the chain set.
     """
     n = max(len(u.images), len(w.images), r + 1)
     budget = length(w) - length(u)
     ui, wi = _padded(u, n), _padded(w, n)
     if any(ui[i] > wi[i] for i in range(r)) or any(ui[j] < wi[j] for j in range(r, n)):
         budget = -1
-    return HasseDAG(u, w, budget, lambda x, _: [((a, b), b, swap_values(x, a, b))
-                                                for a, b in _cover_steps(x, wi, r)])
+    return HasseDAG(ui, wi, budget, lambda xi, _: _cover_steps(xi, wi, r))
 
 
 def all_chains(u: FinitePermutation, w: FinitePermutation, r: int,

@@ -1,0 +1,133 @@
+"""Test-side oracles that share no code with bruhat_kit.
+
+Polynomials are dicts from exponent tuples (one entry per variable
+x_1..x_N) to integer coefficients; permutations are image tuples of
+1..n.  Schubert polynomials come from divided differences
+(Lascoux-Schutzenberger): S_{w0} = x^delta and S_{w s_i} = d_i S_w when
+w(i) > w(i+1).  Schur polynomials come from semistandard tableaux.
+"""
+
+from collections import Counter
+from functools import cache
+
+
+def divided_difference(f: dict, i: int) -> dict:
+    """d_i f = (f - s_i f) / (x_i - x_{i+1}), for 1-based i, monomial by monomial:
+    d_i(x_i^p x_{i+1}^q) is the sum of x_i^(p-1-t) x_{i+1}^(q+t), 0 <= t < p-q,
+    negated with p and q exchanged when p < q."""
+    out = {}
+    for e, c in f.items():
+        p, q = e[i - 1], e[i]
+        sign = 1 if p > q else -1
+        hi, lo = max(p, q), min(p, q)
+        for t in range(hi - lo):
+            m = list(e)
+            m[i - 1], m[i] = hi - 1 - t, lo + t
+            m = tuple(m)
+            out[m] = out.get(m, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def multiply(f: dict, g: dict) -> dict:
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(e1, e2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@cache
+def schubert_polynomial(w: tuple, nvars: int) -> dict:
+    """S_w in x_1..x_nvars for w in S_n, n <= nvars: d_i S_{w s_i} at an ascent i
+    of w, down from S_{w0} = x_1^(n-1) x_2^(n-2) ... x_{n-1}."""
+    n = len(w)
+    ascent = next((i for i in range(1, n) if w[i - 1] < w[i]), None)
+    if ascent is None:
+        delta = tuple(n - 1 - i for i in range(n)) + (0,) * (nvars - n)
+        return {delta: 1}
+    ws = list(w)
+    ws[ascent - 1], ws[ascent] = ws[ascent], ws[ascent - 1]
+    return divided_difference(schubert_polynomial(tuple(ws), nvars), ascent)
+
+
+def schubert_coefficient(f: dict, w: tuple) -> int:
+    """The S_w-coefficient of f: the constant term of d_w f, where d_w applies
+    d_i at a descent i of w and moves on to w s_i until w is the identity.
+    d_i sends S_v to S_{v s_i} at a descent of v and to 0 otherwise."""
+    w = list(w)
+    while True:
+        i = next((i for i in range(1, len(w)) if w[i - 1] > w[i]), None)
+        if i is None:
+            break
+        f = divided_difference(f, i)
+        w[i - 1], w[i] = w[i], w[i - 1]
+    return sum(c for e, c in f.items() if not any(e))
+
+
+def ssyt_contents(lam, letters: int):
+    """The content of every SSYT of shape lam with entries 1..letters,
+    filled cell by cell along the rows."""
+    lam = tuple(lam)
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
+    rows = [[0] * ln for ln in lam]
+    counts = [0] * letters
+
+    def go(idx):
+        if idx == len(cells):
+            yield tuple(counts)
+            return
+        r, c = cells[idx]
+        for letter in range(1, letters + 1):
+            if c > 0 and rows[r][c - 1] > letter:
+                continue
+            if r > 0 and rows[r - 1][c] >= letter:
+                continue
+            rows[r][c] = letter
+            counts[letter - 1] += 1
+            yield from go(idx + 1)
+            counts[letter - 1] -= 1
+
+    yield from go(0)
+
+
+def ssyt_count_bruteforce(lam, mu) -> int:
+    """Number of SSYT of shape lam and content mu, by explicit filling."""
+    mu = tuple(mu)
+    return sum(1 for content in ssyt_contents(lam, len(mu)) if content == mu)
+
+
+@cache
+def schur_polynomial(lam: tuple, r: int, nvars: int) -> dict:
+    """s_lam(x_1..x_r) in x_1..x_nvars, r <= nvars, one monomial per SSYT."""
+    pad = (0,) * (nvars - r)
+    return {content + pad: c for content, c in Counter(ssyt_contents(lam, r)).items()}
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n as weakly decreasing tuples, in decreasing lex order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def schubert_times_schur(u: tuple, w: tuple, r: int) -> dict:
+    """{lam: the S_w-coefficient of S_u * s_lam(x_1..x_r)} over lam of
+    size l(w) - l(u), for u and w in one S_n; zeros are dropped."""
+    n = len(u)
+    nvars = max(n, r)
+    size = inversions(w) - inversions(u)
+    out = {}
+    for lam in partitions(size):
+        f = multiply(schubert_polynomial(u, nvars), schur_polynomial(lam, r, nvars))
+        c = schubert_coefficient(f, w)
+        if c:
+            out[lam] = c
+    return out
+
+
+def inversions(w: tuple) -> int:
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])

@@ -236,6 +236,17 @@ def test_cap_contract(capsys, argv, passing_cap):
     assert code == 0
 
 
+@pytest.mark.parametrize("cap, code, err", [
+    (7, 4, "error: chain cap 7 exceeded\n"),
+    (8, 4, "error: interval vertex cap 8 exceeded at depth 2 of rank 4\n"),
+    (15, 0, ""),
+])
+def test_embed_verify_caps_the_finite_chains_before_the_affine_sweep(capsys, cap, code, err):
+    # 8 finite chains; the affine sweep of the embedded interval expands 15 vertices
+    got = run(capsys, "embed", "--zeta", "3 6 2 5 4 1", "--verify", "--cap", str(cap))
+    assert (got[0], got[2]) == (code, err)
+
+
 def test_affine_job_validates_only_the_two_parsed_windows(capsys, monkeypatch):
     validated = []
     init = affineperm.AffinePermutation.__init__

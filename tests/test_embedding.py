@@ -1,6 +1,7 @@
+import itertools
 import random
 
-from bruhat_kit import affineperm, embedding, rbruhat
+from bruhat_kit import affinegraph, affineperm, embedding, qsym, rbruhat
 from bruhat_kit.rbruhat import FinitePermutation as P
 
 
@@ -92,3 +93,65 @@ def test_randomized_sweep_with_domination():
         report = embedding.verify_embedding(e)
         assert report.ok, (perm, report.failures)
         done += 1
+
+
+def nonidentity_zetas(n):
+    for images in itertools.permutations(range(1, n + 1)):
+        zeta = P(images)
+        if zeta.images:
+            yield zeta
+
+
+def test_embedded_affine_k_dominates_the_finite_k_in_schur_functions():
+    for n, equal_expected, cases_expected in ((4, 19, 23), (5, 67, 119), (6, 232, 719)):
+        cases = equal = 0
+        for zeta in nonidentity_zetas(n):
+            x, y, r = rbruhat.interval_from_zeta(zeta)
+            e = embedding.build_embedding(x, y, r)
+            finite = qsym.schur_expand(rbruhat.interval_dag(x, y, r).k_function()).terms
+            affine = qsym.schur_expand(affinegraph.interval_dag(e.u, e.v).k_function()).terms
+            assert all(affine.get(lam, 0) >= c for lam, c in finite.items()), zeta.images
+            cases += 1
+            equal += affine == finite
+        assert (equal, cases) == (equal_expected, cases_expected), n
+
+
+def chain_by_chain_report(e):
+    """(chains, nonzero images, common endpoint, K terms, domination) from
+    every chain of the source interval, listed and mapped one by one."""
+    x, y, r = e.source_interval
+    chains = rbruhat.all_chains(x, y, r)
+    images = [embedding.map_chain(c, e) for c in chains]
+    ends = {p.end() for p in images if p is not None}
+    common = len(ends) == 1 and (not chains or ends == {e.v})
+    k_schub = rbruhat.k_function_r(x, y, r)
+    k_aff = affinegraph.interval_dag(e.u, e.v).k_function()
+    return (len(chains), sum(p is not None for p in images), common,
+            k_schub.terms, k_aff.dominates(k_schub))
+
+
+def test_verify_builds_the_finite_dag_once_and_matches_chain_by_chain(monkeypatch):
+    embeddings = [embedding.build_embedding(*rbruhat.interval_from_zeta(zeta))
+                  for zeta in nonidentity_zetas(5)]
+    expected = [chain_by_chain_report(e) for e in embeddings]
+    builds = []
+    original = rbruhat.interval_dag
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_embedding lists the interval a second time")
+
+    monkeypatch.setattr(rbruhat, "interval_dag", counting)
+    monkeypatch.setattr(rbruhat, "all_chains", forbidden)
+    monkeypatch.setattr(rbruhat, "k_function_r", forbidden)
+    for e, want in zip(embeddings, expected):
+        builds.clear()
+        report = embedding.verify_embedding(e)
+        assert builds == [e.source_interval]
+        got = (report.chains_total, report.mapped_nonzero, report.common_endpoint,
+               report.k_schubert.terms, report.dominated)
+        assert got == want, e.source_interval
+    assert len(embeddings) == 119

@@ -52,6 +52,30 @@ def test_cyclic_order_realizes_the_predicate():
                 assert others == [seq]
 
 
+def clockwise_from_smallest_missing_hour(labels, k):
+    """Distinct hours in 0..k, at most k of them, that increase strictly once
+    each is relabeled by its clockwise distance from the smallest absent hour."""
+    labels = tuple(labels)
+    if not 1 <= len(labels) <= k or len(set(labels)) != len(labels):
+        return False
+    if any(not 0 <= x <= k for x in labels):
+        return False
+    j0 = min(set(range(k + 1)) - set(labels))
+    mapped = [(x - j0) % (k + 1) for x in labels]
+    return all(mapped[i] < mapped[i + 1] for i in range(len(mapped) - 1))
+
+
+def test_is_cyclically_increasing_matches_the_clockwise_definition_exhaustively():
+    tuples = 0
+    for k in range(1, 5):
+        for m in range(k + 2):
+            for labels in itertools.product(range(-1, k + 2), repeat=m):
+                tuples += 1
+                assert kschur.is_cyclically_increasing(labels, k) == \
+                    clockwise_from_smallest_missing_hour(labels, k), (labels, k)
+    assert tuples == 21340
+
+
 def test_pieri_kschur_single_h():
     # h_m is the k-Schur function of one grassmannian: the Pieri set from
     # the identity is a single point with the stated window
