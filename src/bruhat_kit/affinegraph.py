@@ -169,8 +169,10 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
         if expanded > cap:
             raise CapExceeded(f"interval vertex cap {cap} exceeded "
                               f"at depth {depth} of rank {budget}")
-        return [(e, e.b, e.target) for e in sorted(out_edges(x), key=lambda e: (e.a, e.b))
-                if is_grassmannian(e.target) and _fits(to_core(e.target).partition, top)]
+        edges = sorted(out_edges(x), key=lambda e: (e.a, e.b))
+        keep = {t: is_grassmannian(t) and _fits(to_core(t).partition, top)
+                for t in {e.target for e in edges}}  # parallel edges share a target
+        return [(e, e.b, e.target) for e in edges if keep[e.target]]
 
     return HasseDAG(u, w, budget, steps)
 

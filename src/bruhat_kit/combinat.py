@@ -4,11 +4,13 @@ Partitions and compositions are plain tuples of positive integers; a
 partition is weakly decreasing and never stores trailing zeros.  The
 empty tuple is the unique object of weight 0.  Compositions with equal
 part multisets are distinct objects (only symmetric functions collapse
-them).
+them).  Inside computations a composition of n is its descent set (its
+partial sums below n, as bits of an int); refinements are supersets.
 """
 
 from collections import Counter
 from functools import cache
+from itertools import accumulate
 from math import factorial
 
 from .errors import EmptyChain
@@ -37,25 +39,51 @@ def as_composition(parts) -> Composition:
     return c
 
 
+def descent_set(comp: Composition) -> int:
+    """The partial sums of comp below its weight, as the bits of an int."""
+    return sum(1 << s for s in accumulate(comp[:-1]))
+
+
+def from_descent_set(mask: int, n: int) -> Composition:
+    """The composition of n whose descent set is mask, read off its set bits."""
+    parts, prev = [], 0
+    while mask:
+        cut = (mask & -mask).bit_length() - 1
+        parts.append(cut - prev)
+        prev = cut
+        mask &= mask - 1
+    return tuple(parts + [n - prev]) if n else ()
+
+
+def supersets(mask: int, n: int):
+    """Every descent set of n containing mask, with the number of bits it adds."""
+    free = sub = ((1 << n) - 1) & ~1 & ~mask  # bits 1..n-1 outside mask
+    while True:
+        yield mask | sub, sub.bit_count()
+        if not sub:
+            return
+        sub = (sub - 1) & free
+
+
+def descent_mask(labels) -> int:
+    """The descent set of a label sequence: bit i for labels[i-1] > labels[i]."""
+    mask = 0
+    for i in range(1, len(labels)):
+        if labels[i - 1] > labels[i]:
+            mask |= 1 << i
+    return mask
+
+
 def refines(alpha: Composition, beta: Composition) -> bool:
-    """True iff summing consecutive blocks of ``alpha`` yields ``beta``.
+    """True iff alpha refines beta: equal weights, beta's descent set inside alpha's.
 
     >>> refines((1, 2, 1), (3, 1))
     True
     >>> refines((1, 3), (3, 1))
     False
     """
-    i = 0
-    for b in beta:
-        acc = 0
-        while acc < b:
-            if i >= len(alpha):
-                return False
-            acc += alpha[i]
-            i += 1
-        if acc != b:
-            return False
-    return i == len(alpha)
+    b = descent_set(beta)
+    return sum(alpha) == sum(beta) and descent_set(alpha) & b == b
 
 
 def descent_composition(labels) -> Composition:
@@ -69,42 +97,13 @@ def descent_composition(labels) -> Composition:
     labels = tuple(labels)
     if not labels:
         raise EmptyChain("descent composition of an empty label sequence")
-    parts = []
-    run = 1
-    for i in range(1, len(labels)):
-        if labels[i - 1] > labels[i]:
-            parts.append(run)
-            run = 1
-        else:
-            run += 1
-    parts.append(run)
-    return tuple(parts)
-
-
-def compositions_of(n: int) -> list[Composition]:
-    """All 2^(n-1) compositions of n (the empty composition for n = 0)."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def go(rest, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(1, rest + 1):
-            go(rest - part, acc + [part])
-
-    go(n, [])
-    return out
+    return from_descent_set(descent_mask(labels), len(labels))
 
 
 def refinements(beta: Composition) -> list[Composition]:
     """All compositions alpha with refines(alpha, beta)."""
-    out = [()]
-    for b in beta:
-        blocks = compositions_of(b)
-        out = [pre + blk for pre in out for blk in blocks]
-    return out
+    n = sum(beta)
+    return [from_descent_set(m, n) for m, _ in supersets(descent_set(beta), n)]
 
 
 def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:

@@ -3,8 +3,8 @@ and the positional cover rule that both orders share.
 
 An adapter supplies the out-steps of a vertex; the DAG asks for them once
 per vertex, rank by rank from the start, then prunes what cannot reach
-the end.  The chain count and the F-basis chain function K come from
-dynamic programs over the layers; chains are listed only on request.
+the end.  The chain count and K, keyed by descent sets, come from DPs
+over the layers; chains are listed on request, without recursion.
 """
 
 from . import qsym
@@ -77,44 +77,42 @@ class HasseDAG:
     def k_function(self) -> qsym.QuasiSymFn:
         """Sum of F over the descent compositions of the chains' label sequences.
 
-        The DP state at a vertex maps (last label, descent composition so
-        far) to the number of partial chains that reach it that way; a
-        strict descent starts a new part, anything else grows the last one.
+        The DP state at a vertex maps (last label, descent set so far) to
+        the number of partial chains that reach it that way; a strict
+        descent before the step at depth d sets bit d.
         """
-        if not self.layers[0]:
-            return qsym.QuasiSymFn(qsym.F, {})
-        states = {self.start: {(None, ()): 1}}
-        for layer in self.layers[:-1]:
+        states = {self.start: {(None, 0): 1}}
+        for depth, layer in enumerate(self.layers[:-1]):
             for x in layer:
                 here = states.pop(x)
                 for _, label, y in self.succ[x]:
                     there = states.setdefault(y, {})
-                    for (last, comp), c in here.items():
-                        if last is None or last > label:
-                            key = (label, comp + (1,))
-                        else:
-                            key = (label, comp[:-1] + (comp[-1] + 1,))
-                        there[key] = there.get(key, 0) + c
-        terms: dict[tuple[int, ...], int] = {}
-        for (_, comp), c in states[self.end].items():
-            terms[comp] = terms.get(comp, 0) + c
-        return qsym.QuasiSymFn(qsym.F, terms)
+                    for (last, mask), c in here.items():
+                        if last is not None and last > label:
+                            mask |= 1 << depth
+                        there[label, mask] = there.get((label, mask), 0) + c
+        ends = states.get(self.end, {}).items()
+        return qsym.from_descent_sets(qsym.F, (((self.rank, m), c) for (_, m), c in ends))
 
     def walks(self) -> list[tuple]:
-        """Every chain as a tuple of steps, in the order out_steps lists them."""
-        if not self.layers[0]:
-            return []
+        """Every chain as a tuple of steps, in the order out_steps lists them;
+        one step iterator per depth stands in for recursion."""
+        if not self.rank or not self.layers[0]:
+            return [()] * len(self.layers[0])  # the empty chain, if start is end
+        last = self.rank - 1
         found = []
-        acc = []
-
-        def go(x):
-            if len(acc) == self.rank:
-                found.append(tuple(acc))
-                return
-            for step, _, y in self.succ[x]:
-                acc.append(step)
-                go(y)
-                acc.pop()
-
-        go(self.start)
+        chain = [None] * self.rank
+        pending = [iter(self.succ[self.start])] + [None] * last
+        depth = 0
+        while depth >= 0:
+            for step, _, y in pending[depth]:
+                chain[depth] = step
+                if depth == last:
+                    found.append(tuple(chain))
+                else:
+                    depth += 1
+                    pending[depth] = iter(self.succ[y])
+                    break
+            else:
+                depth -= 1
         return found

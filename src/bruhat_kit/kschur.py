@@ -197,9 +197,9 @@ def k_function_weak(u: AffinePermutation, w: AffinePermutation) -> qsym.QuasiSym
     are not well defined on the weak order, so no F-basis shortcut
     exists; any F view must go through the basis change.
 
-    Compositions are walked depth first, so all those sharing a prefix
-    share its endpoint counts, and only points on a weak chain from u to
-    w (the layers of the one-step Hasse DAG) are kept.
+    Compositions are walked depth first on a stack, as descent sets, so
+    those sharing a prefix share its endpoint counts, and only points on
+    a weak chain from u to w (the one-step Hasse DAG's layers) are kept.
     """
     n = length_affine(w) - length_affine(u)
     if n < 0:
@@ -208,21 +208,21 @@ def k_function_weak(u: AffinePermutation, w: AffinePermutation) -> qsym.QuasiSym
         return qsym.QuasiSymFn(qsym.M, {(): 1} if u == w else {})
     dag = HasseDAG(u, w, n, lambda x, _: [(None, None, y) for y, _ in _segment_counts(x, 1)])
     alive = {x for layer in dag.layers for x in layer}
-    terms: dict[tuple[int, ...], int] = {}
-
-    def go(state, rest, alpha):
-        if not rest:
-            terms[alpha] = state[w]
-            return
-        for part in range(1, min(rest, u.k) + 1):
+    terms: dict[tuple[int, int], int] = {}
+    pending = [({u: 1}, 0, 0)] if alive else []
+    while pending:
+        state, done, mask = pending.pop()
+        if done == n:
+            terms[n, mask] = state[w]
+            continue
+        if done:
+            mask |= 1 << done
+        for part in range(min(n - done, u.k), 0, -1):  # part 1 is popped first
             nxt: dict[AffinePermutation, int] = {}
             for x, c in state.items():
                 for y, ways in _segment_counts(x, part):
                     if y in alive:
                         nxt[y] = nxt.get(y, 0) + c * ways
             if nxt:
-                go(nxt, rest - part, alpha + (part,))
-
-    if alive:
-        go({u: 1}, n, ())
-    return qsym.QuasiSymFn(qsym.M, terms)
+                pending.append((nxt, done + part, mask))
+    return qsym.from_descent_sets(qsym.M, terms.items())

@@ -1,6 +1,7 @@
 """Integer quasisymmetric functions (M and F bases) and symmetric functions.
 
 Coefficients are Python ints, so enumeration counts never overflow.
+Sums collect on (weight, descent set) keys and build each index tuple once.
 Equality of quasisymmetric functions compares M-basis normal forms, so a
 function is equal to itself regardless of the basis it is held in.
 """
@@ -109,13 +110,31 @@ class SymFn(_Combination):
         return hash((SymFn, self.basis, frozenset(self.terms.items())))
 
 
+def from_descent_sets(basis: str, pairs) -> QuasiSymFn:
+    """Sum c*B_alpha over pairs ((weight, descent set of alpha), c)."""
+    out: dict[tuple[int, int], int] = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return QuasiSymFn(basis, {combinat.from_descent_set(mask, n): c
+                              for (n, mask), c in out.items()})
+
+
 def f_sum(label_sequences) -> QuasiSymFn:
     """Sum of F over the descent compositions of the given label sequences."""
-    terms: dict[Composition, int] = {}
-    for labels in label_sequences:
-        d = combinat.descent_composition(labels) if labels else ()
-        terms[d] = terms.get(d, 0) + 1
-    return QuasiSymFn(F, terms)
+    return from_descent_sets(F, (((len(labels), combinat.descent_mask(labels)), 1)
+                                 for labels in label_sequences))
+
+
+def _refinement_sum(q: QuasiSymFn, basis: str, sign: int) -> QuasiSymFn:
+    """q in basis: each c*B_beta becomes sign^(bits added) * c on each refinement of beta."""
+    if q.basis == basis:
+        raise ValueError(f"the function is already in the {basis} basis")
+    out: dict[tuple[int, int], int] = {}
+    for beta, c in q.terms.items():
+        n = sum(beta)
+        for mask, added in combinat.supersets(combinat.descent_set(beta), n):
+            out[n, mask] = out.get((n, mask), 0) + (sign * c if added & 1 else c)
+    return from_descent_sets(basis, out.items())
 
 
 def m_to_f(q: QuasiSymFn) -> QuasiSymFn:
@@ -125,25 +144,12 @@ def m_to_f(q: QuasiSymFn) -> QuasiSymFn:
     (-1)^(len(beta) - len(alpha)) F_beta, the inclusion-exclusion inverse
     of the refinement-sum rule implemented by :func:`f_to_m`.
     """
-    if q.basis != M:
-        raise ValueError("m_to_f expects an M-basis function")
-    out: dict[Composition, int] = {}
-    for alpha, c in q.terms.items():
-        for beta in combinat.refinements(alpha):
-            sign = -1 if (len(beta) - len(alpha)) % 2 else 1
-            out[beta] = out.get(beta, 0) + sign * c
-    return QuasiSymFn(F, out)
+    return _refinement_sum(q, F, -1)
 
 
 def f_to_m(q: QuasiSymFn) -> QuasiSymFn:
     """Re-express an F-basis function in the M basis: F_beta = sum of M over refinements."""
-    if q.basis != F:
-        raise ValueError("f_to_m expects an F-basis function")
-    out: dict[Composition, int] = {}
-    for beta, c in q.terms.items():
-        for alpha in combinat.refinements(beta):
-            out[alpha] = out.get(alpha, 0) + c
-    return QuasiSymFn(M, out)
+    return _refinement_sum(q, M, 1)
 
 
 def to_m(q: QuasiSymFn) -> QuasiSymFn:

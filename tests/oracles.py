@@ -5,6 +5,8 @@ x_1..x_N) to integer coefficients; permutations are image tuples of
 1..n.  Schubert polynomials come from divided differences
 (Lascoux-Schutzenberger): S_{w0} = x^delta and S_{w s_i} = d_i S_w when
 w(i) > w(i+1).  Schur polynomials come from semistandard tableaux.
+Compositions are tuples, listed by their first part and compared by
+block sums, with no descent sets.
 """
 
 from collections import Counter
@@ -131,3 +133,33 @@ def schubert_times_schur(u: tuple, w: tuple, r: int) -> dict:
 
 def inversions(w: tuple) -> int:
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+def compositions(n: int) -> list:
+    """All compositions of n, recursing on the first part; [()] for n = 0."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1) for rest in compositions(n - first)]
+
+
+def refines_by_blocks(alpha: tuple, beta: tuple) -> bool:
+    """Whether alpha cuts into consecutive blocks whose sums are the parts of beta."""
+    rest = list(alpha)
+    for b in beta:
+        total = 0
+        while total < b and rest:
+            total += rest.pop(0)
+        if total != b:
+            return False
+    return not rest
+
+
+def weakly_increasing_runs(labels) -> tuple:
+    """Lengths of the maximal weakly increasing runs of a label sequence."""
+    runs = []
+    for i, x in enumerate(labels):
+        if i and labels[i - 1] <= x:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return tuple(runs)

@@ -10,7 +10,7 @@ from bruhat_kit import (affinegraph, affineperm, combinat, embedding, kschur,
                         qsym, rbruhat)
 from bruhat_kit.affineperm import AffinePermutation, CorePartition
 from bruhat_kit.rbruhat import FinitePermutation as P
-from oracles import ssyt_count_bruteforce
+from oracles import compositions, ssyt_count_bruteforce
 
 
 def _ok(n, msg):
@@ -192,7 +192,7 @@ def test_criterion_7_symmetry_and_rank3_balance():
 
 def test_criterion_8_basis_machinery():
     for n in range(0, 7):
-        for alpha in combinat.compositions_of(n):
+        for alpha in compositions(n):
             m = qsym.QuasiSymFn(qsym.M, {alpha: 1})
             assert qsym.f_to_m(qsym.m_to_f(m)).terms == m.terms
             f = qsym.QuasiSymFn(qsym.F, {alpha: 1})

@@ -72,6 +72,13 @@ def test_embed_verify(capsys):
     assert "all_nonzero: True" in out and "K_domination: True" in out
 
 
+def test_rbruhat_lists_the_single_chain_of_a_1200_cycle(capsys):
+    zeta = " ".join(map(str, [*range(2, 1201), 1]))  # one chain of rank 1,199
+    code, out, _ = run(capsys, "rbruhat", "--zeta", zeta, "--chains", "--json")
+    assert code == 0
+    assert json.loads(out)["chain_count"] == 1
+
+
 def test_json_round_trip(capsys):
     code, out, _ = run(capsys, "affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]",
                        "--w", "[8,-6,-2,9,13,-1]", "--json")

@@ -4,7 +4,7 @@ import pytest
 
 from bruhat_kit import combinat
 from bruhat_kit.errors import EmptyChain
-from oracles import ssyt_count_bruteforce
+from oracles import compositions, refines_by_blocks, ssyt_count_bruteforce, weakly_increasing_runs
 
 
 def test_refines_examples():
@@ -16,7 +16,7 @@ def test_refines_examples():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_refines_is_a_partial_order(n):
-    comps = combinat.compositions_of(n)
+    comps = compositions(n)
     for a in comps:
         assert combinat.refines(a, a)
     for a, b in itertools.permutations(comps, 2):
@@ -29,11 +29,31 @@ def test_refines_is_a_partial_order(n):
 
 
 def test_refinement_enumeration_matches_predicate():
-    for n in range(1, 6):
-        comps = combinat.compositions_of(n)
+    # both against the block-sum definition, on all pairs for n <= 8
+    for n in range(9):
+        comps = compositions(n)
         for beta in comps:
-            expect = {a for a in comps if combinat.refines(a, beta)}
-            assert set(combinat.refinements(beta)) == expect
+            expect = [a for a in comps if refines_by_blocks(a, beta)]
+            assert sorted(combinat.refinements(beta)) == sorted(expect)
+            assert len(combinat.refinements(beta)) == 2 ** (n - len(beta))
+            for alpha in comps:
+                assert combinat.refines(alpha, beta) == refines_by_blocks(alpha, beta)
+
+
+def test_descent_sets_round_trip_exhaustively():
+    for n in range(11):
+        comps = compositions(n)
+        masks = [combinat.descent_set(c) for c in comps]
+        assert sorted(masks) == list(range(0, 2 ** n, 2))  # every subset of bits 1..n-1
+        for c, m in zip(comps, masks):
+            assert combinat.from_descent_set(m, n) == c
+            assert m == sum(1 << sum(c[:i]) for i in range(1, len(c)))
+
+
+def test_descent_composition_matches_runs_exhaustively():
+    for length in range(1, 7):
+        for labels in itertools.product(range(3), repeat=length):
+            assert combinat.descent_composition(labels) == weakly_increasing_runs(labels)
 
 
 def test_descent_composition():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bruhat_kit import affinegraph, cli, qsym, rbruhat
+from bruhat_kit.interval import HasseDAG
 from bruhat_kit.rbruhat import FinitePermutation as P
 
 README_240 = ["affine", "--k", "5", "--u", "[-6,8,3,-1,4,13]",
@@ -85,6 +86,30 @@ def test_every_interval_of_s6_agrees_with_brute_force():
         kf = qsym.f_sum(labels)
         assert rbruhat.k_function_r(u, w, r).terms == kf.terms == dag.k_function().terms, images
     assert intervals == 719
+
+
+def test_walks_list_chains_in_recursive_order():
+    def listed(dag, x, acc):
+        if len(acc) == dag.rank:
+            return [tuple(acc)]
+        return [c for step, _, y in dag.succ[x] for c in listed(dag, y, acc + [step])]
+
+    for images in itertools.permutations(range(1, 6)):
+        zeta = P(images)
+        if zeta.images:
+            dag = rbruhat.interval_dag(*rbruhat.interval_from_zeta(zeta))
+            assert dag.walks() == listed(dag, dag.start, []), images
+    dag = rbruhat.interval_dag(P((2, 1)), P((2, 1)), 1)
+    assert dag.walks() == [()] and dag.k_function().terms == {(): 1}
+
+
+def test_k_function_breaks_only_at_strict_descents():
+    # a path 0 -> 3 with two parallel steps per rank; labels (2, 2, 1) or (2, 3, 1)
+    labels = {0: (2, 2), 1: (2, 3), 2: (1, 1)}
+    dag = HasseDAG(0, 3, 3, lambda x, _: [((x, i), b, x + 1) for i, b in enumerate(labels[x])])
+    assert dag.walks()[:2] == [((0, 0), (1, 0), (2, 0)), ((0, 0), (1, 0), (2, 1))]
+    assert dag.count() == len(dag.walks()) == 8
+    assert dag.k_function().terms == {(2, 1): 8}
 
 
 def test_swap_values_matches_the_validating_constructor():

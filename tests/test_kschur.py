@@ -6,6 +6,7 @@ import pytest
 from bruhat_kit import affineperm, combinat, kschur, qsym
 from bruhat_kit.affineperm import AffinePermutation, length_affine
 from bruhat_kit.errors import MOutOfRange, NotGrassmannian, NotUnitriangular
+from oracles import compositions
 
 
 def test_weak_covers_examples():
@@ -180,7 +181,7 @@ def weak_k_by_compositions(u, w):
     if n <= 0:
         return {(): 1} if u == w else {}
     terms = {}
-    for alpha in combinat.compositions_of(n):
+    for alpha in compositions(n):
         if max(alpha) > u.k:
             continue
         state = {u: 1}
@@ -227,6 +228,11 @@ def test_k_function_weak_matches_the_per_composition_loop():
                     pairs += 1
                     nonzero += u != w and bool(expected)
     assert (pairs, nonzero) == (4645, 188)
+
+
+def test_k_function_weak_walks_a_rank_1200_chain_without_recursion():
+    w = kschur.grassmannians_of_length(1, 1200)[0]
+    assert kschur.k_function_weak(AffinePermutation.identity(1), w).terms == {(1,) * 1200: 1}
 
 
 def test_weak_k_from_a_non_grassmannian_start_is_empty():

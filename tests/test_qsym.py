@@ -6,6 +6,7 @@ import pytest
 
 from bruhat_kit import combinat, qsym
 from bruhat_kit.errors import NotSymmetric
+from oracles import compositions, refines_by_blocks
 
 M, F = qsym.M, qsym.F
 
@@ -34,16 +35,30 @@ def test_f_to_m_of_8_chain_sum_has_finest_coefficient_8():
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_round_trip_identity_on_basis_elements(n):
-    for alpha in combinat.compositions_of(n):
+    for alpha in compositions(n):
         m = qsym.QuasiSymFn(M, {alpha: 1})
         assert qsym.f_to_m(qsym.m_to_f(m)).terms == m.terms
         f = qsym.QuasiSymFn(F, {alpha: 1})
         assert qsym.m_to_f(qsym.f_to_m(f)).terms == f.terms
 
 
+def test_basis_changes_match_block_sums_on_basis_elements():
+    for n in range(9):
+        comps = compositions(n)
+        for beta in comps:
+            finer = [a for a in comps if refines_by_blocks(a, beta)]
+            assert qsym.f_to_m(qsym.QuasiSymFn(F, {beta: 1})).terms == dict.fromkeys(finer, 1)
+            assert qsym.m_to_f(qsym.QuasiSymFn(M, {beta: 1})).terms == \
+                {a: (-1) ** (len(a) - len(beta)) for a in finer}
+    with pytest.raises(ValueError):
+        qsym.f_to_m(qsym.QuasiSymFn(M, {(1,): 1}))
+    with pytest.raises(ValueError):
+        qsym.m_to_f(qsym.QuasiSymFn(F, {(1,): 1}))
+
+
 def test_round_trip_on_random_combinations():
     rng = random.Random(3)
-    comps = [a for n in range(5) for a in combinat.compositions_of(n)]
+    comps = [a for n in range(5) for a in compositions(n)]
     for _ in range(25):
         terms = {rng.choice(comps): rng.randint(-9, 9) for _ in range(6)}
         q = qsym.QuasiSymFn(M, terms)
@@ -164,7 +179,7 @@ def test_chain_counting_definition():
         for d in descents:
             total = total + qsym.QuasiSymFn(F, {d: 1})
         as_m = qsym.f_to_m(total)
-        for alpha in combinat.compositions_of(n):
+        for alpha in compositions(n):
             want = sum(1 for d in descents if combinat.refines(alpha, d))
             assert as_m.coeff(alpha) == want
 
