@@ -4,6 +4,12 @@ An affine permutation for a given k is a bijection of the integers with
 u(i + k+1) = u(i) + k+1, stored by its main window (u(1), ..., u(k+1)).
 The window entries are pairwise distinct modulo k+1 and sum to the fixed
 value (k+2 choose 2).  An entry of 0 counts as nonpositive everywhere.
+
+Everything about 0-grassmannians and (k+1)-cores is read off one abacus
+(James-Kerber): in each residue class of positions mod k+1 the entries are
+<= 0 up to one position, the class *top*, and positive after it.  u is
+0-grassmannian when its tops, read left to right, carry -k, ..., 0, and the
+tops, read as beta-numbers, draw the boundary path of the core.
 """
 
 from dataclasses import dataclass
@@ -23,7 +29,9 @@ class AffinePermutation:
         window = tuple(int(x) for x in window)
         if k is None:
             k = len(window) - 1
-        if len(window) != k + 1 or k < 1:
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if len(window) != k + 1:
             raise ValueError(f"window must have length k+1: {window}")
         n = k + 1
         residues = [w % n for w in window]
@@ -143,11 +151,23 @@ def length_affine(u: AffinePermutation) -> int:
     return total
 
 
+def _tops(u: AffinePermutation) -> list[int]:
+    """The top of each residue class, by window slot: the last position p = j mod k+1
+    with u(p) <= 0, for slot j = 1..k+1.  The entry there is -((-u(j)) mod (k+1))."""
+    n = u.k + 1
+    return [j + (-w) // n * n for j, w in enumerate(u.window, 1)]
+
+
 @lru_cache(maxsize=1 << 16)
 def is_grassmannian(u: AffinePermutation) -> bool:
-    """True iff the values 1, ..., k+1 appear at increasing positions."""
-    pos = [u.position(v) for v in range(1, u.k + 2)]
-    return all(pos[i] < pos[i + 1] for i in range(len(pos) - 1))
+    """True iff the values 1, ..., k+1 appear at increasing positions.
+
+    Shifted down by k+1 that says the values -k, ..., 0 do, and those are
+    the entries at the class tops: read left to right, the tops carry -k, ..., 0.
+    """
+    n = u.k + 1
+    tops = sorted(zip(_tops(u), u.window))
+    return all((-w) % n == n - 1 - i for i, (_, w) in enumerate(tops))
 
 
 @dataclass(frozen=True)
@@ -161,7 +181,7 @@ class CorePartition:
         object.__setattr__(self, "partition", combinat.as_partition(self.partition))
         if self.modulus < 2:
             raise ValueError("modulus must be at least 2")
-        if _has_hook(self.partition, self.modulus):
+        if any(hook == self.modulus for _, hook in _hooks(self.partition)):
             raise NotACore(
                 f"{self.partition} has a hook of length {self.modulus}")
 
@@ -169,101 +189,57 @@ class CorePartition:
         return ",".join(str(x) for x in self.partition) if self.partition else "()"
 
 
-def _has_hook(lam: Partition, h: int) -> bool:
+def _hooks(lam: Partition):
+    """(row, hook length) of every cell of lam, row by row."""
     conj = combinat.conjugate(lam)
-    for r in range(len(lam)):
-        for c in range(lam[r]):
-            if lam[r] - (c + 1) + conj[c] - (r + 1) + 1 == h:
-                return True
-    return False
-
-
-def _sign_bounds(u: AffinePermutation) -> tuple[int, int]:
-    """(first position with a positive entry, last position with entry <= 0)."""
-    n = u.k + 1
-    first_pos = None
-    last_np = None
-    for j0 in range(1, n + 1):
-        w = u.window[j0 - 1]
-        # smallest m with w + m*n >= 1
-        m = -((w - 1) // n)
-        p = j0 + m * n
-        first_pos = p if first_pos is None else min(first_pos, p)
-        # largest m with w + m*n <= 0
-        m = (-w) // n
-        p = j0 + m * n
-        last_np = p if last_np is None else max(last_np, p)
-    return first_pos, last_np
+    for r, part in enumerate(lam):
+        for c in range(part):
+            yield r, part - c + conj[c] - r - 1
 
 
 @lru_cache(maxsize=1 << 16)
 def to_core(u: AffinePermutation) -> CorePartition:
     """Read the (k+1)-core off the window's sign sequence.
 
-    Walking positions left to right, an entry <= 0 is a vertical step of
-    the core's boundary path and a positive entry a horizontal step.
-    The row cut off by a vertical step has as many cells as there are
-    positive entries before it, which anchors the path without any
-    absolute index convention.
+    Walking positions left to right, an entry <= 0 (at or before the top of
+    its class) is a vertical step of the core's boundary path and a positive
+    entry a horizontal step.  The row cut off by a vertical step has as many
+    cells as there are positive entries before it, which anchors the path
+    without any absolute index convention.
     """
     if not is_grassmannian(u):
         raise NotGrassmannian(f"{u.text()} is not 0-grassmannian")
-    first_pos, last_np = _sign_bounds(u)
+    n = u.k + 1
+    tops = _tops(u)
     rows = []
     positives = 0
-    for p in range(first_pos, last_np + 1):
-        if u(p) > 0:
+    for p in range(min(tops), max(tops) + 1):
+        if p > tops[(p - 1) % n]:
             positives += 1
         elif positives:
             rows.append(positives)
-    return CorePartition(tuple(sorted(rows, reverse=True)), u.k + 1)
+    return CorePartition(tuple(reversed(rows)), n)  # rows come out shortest first
 
 
 def from_core(core: CorePartition, k: int) -> AffinePermutation:
     """The 0-grassmannian whose boundary path draws the given (k+1)-core.
 
-    Rebuilds the sign sequence from the partition, pins the values by
-    the rule that the last nonpositive entry of each residue class must
-    carry 0, -1, ..., -k in increasing position order (forced by
-    grassmannianity), then shifts the window to restore the sum
-    invariant.
+    Anchored at position 1, the vertical steps are every position <= 0 and
+    the beta-numbers lam_i + len(lam) - i (row i, 0-based).  The top of each
+    class is its last vertical step, and grassmannianity forces the tops to
+    carry -k, ..., 0 left to right; the window is then shifted to restore
+    the sum invariant.
     """
     if core.modulus != k + 1:
         raise NotACore(f"core modulus {core.modulus} does not match k+1={k + 1}")
     n = k + 1
     lam = core.partition
-    # mixed segment of the boundary path, anchored arbitrarily at position 1
-    signs = []
-    prev = 0
-    for row in reversed(lam):
-        signs.extend([True] * (row - prev))  # True = positive entry
-        signs.append(False)
-        prev = row
-    seg_len = len(signs)
-
-    def sign_at(p: int) -> bool:
-        if p < 1:
-            return False
-        if p > seg_len:
-            return True
-        return signs[p - 1]
-
-    # last nonpositive position in each residue class
-    last_np = []
-    for c in range(n):
-        p = seg_len
-        while p % n != c:
-            p -= 1
-        while sign_at(p):
-            p -= n
-        last_np.append(p)
-    last_np.sort()
-    window = [None] * n
-    for val, p in zip(range(-k, 1), last_np):
-        j = (p - 1) % n + 1
-        window[j - 1] = val + (j - p)
-    target = n * (n + 1) // 2
-    s, rem = divmod(target - sum(window), n)
+    steps = list(range(1 - n, 1)) + [lam[i] + len(lam) - i for i in reversed(range(len(lam)))]
+    tops = {(p - 1) % n: p for p in steps}  # steps rise, so each class keeps its last
+    window = [0] * n
+    for val, p in zip(range(-k, 1), sorted(tops.values())):
+        window[(p - 1) % n] = val - (p - 1) // n * n
+    s, rem = divmod(n * (n + 1) // 2 - sum(window), n)
     if rem:
         raise NotACore(f"window sum defect not a multiple of {n} for {lam}")
     u = AffinePermutation((window_eval(window, i + s) for i in range(1, n + 1)), k)
@@ -274,12 +250,9 @@ def from_core(core: CorePartition, k: int) -> AffinePermutation:
 
 def kbounded_from_core(core: CorePartition) -> Partition:
     """Delete the cells of hook length > k and left-justify the rows."""
-    lam = core.partition
     k = core.modulus - 1
-    conj = combinat.conjugate(lam)
-    rows = []
-    for r in range(len(lam)):
-        kept = sum(1 for c in range(lam[r])
-                   if lam[r] - (c + 1) + conj[c] - (r + 1) + 1 <= k)
-        rows.append(kept)
+    rows = [0] * len(core.partition)
+    for r, hook in _hooks(core.partition):
+        if hook <= k:
+            rows[r] += 1
     return combinat.as_partition(rows)

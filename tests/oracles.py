@@ -6,11 +6,13 @@ x_1..x_N) to integer coefficients; permutations are image tuples of
 (Lascoux-Schutzenberger): S_{w0} = x^delta and S_{w s_i} = d_i S_w when
 w(i) > w(i+1).  Schur polynomials come from semistandard tableaux.
 Compositions are tuples, listed by their first part and compared by
-block sums, with no descent sets.
+block sums, with no descent sets.  Affine permutations are plain windows
+(u(1), ..., u(k+1)), evaluated position by position.
 """
 
 from collections import Counter
 from functools import cache
+from itertools import combinations
 
 
 def divided_difference(f: dict, i: int) -> dict:
@@ -106,6 +108,26 @@ def schur_polynomial(lam: tuple, r: int, nvars: int) -> dict:
     return {content + pad: c for content, c in Counter(ssyt_contents(lam, r)).items()}
 
 
+def quasisymmetric_polynomial(m_terms: dict, nvars: int) -> dict:
+    """The sum of c * M_alpha(x_1..x_nvars) over m_terms {alpha: c}, where
+    M_alpha is the sum of x_i1^alpha_1 ... x_il^alpha_l over i1 < ... < il."""
+    out = {}
+    for alpha, c in m_terms.items():
+        for slots in combinations(range(nvars), len(alpha)):
+            e = [0] * nvars
+            for i, part in zip(slots, alpha):
+                e[i] = part
+            e = tuple(e)
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def hall_pairing_with_h(f: dict, h_terms: dict, nvars: int) -> int:
+    """<f, sum of d_nu h_nu> for a symmetric polynomial f in x_1..x_nvars of degree
+    at most nvars: by <m_mu, h_nu> = delta it is the sum of d_nu [x^nu] f."""
+    return sum(d * f.get(tuple(nu) + (0,) * (nvars - len(nu)), 0) for nu, d in h_terms.items())
+
+
 def partitions(n: int, largest: int | None = None):
     """The partitions of n as weakly decreasing tuples, in decreasing lex order."""
     if n == 0:
@@ -163,3 +185,59 @@ def weakly_increasing_runs(labels) -> tuple:
         else:
             runs.append(1)
     return tuple(runs)
+
+
+def window_at(window, i):
+    """u(i) for the affine permutation with the given window."""
+    n = len(window)
+    q, r = divmod(i - 1, n)
+    return window[r] + q * n
+
+
+def times_s(window, i):
+    """The window of u*s_i: the entries at positions i and i+1 mod k+1 trade places."""
+    n = len(window)
+    return tuple(window_at(window, p + 1) if (p - i) % n == 0
+                 else window_at(window, p - 1) if (p - i - 1) % n == 0
+                 else window[p - 1] for p in range(1, n + 1))
+
+
+def grassmannian_window(window):
+    """Whether the values 1..k+1 stand at increasing positions."""
+    n = len(window)
+    positions = []
+    for v in range(1, n + 1):
+        j = next(j for j in range(n) if (window[j] - v) % n == 0)
+        positions.append(j + 1 + v - window[j])
+    return all(a < b for a, b in zip(positions, positions[1:]))
+
+
+def weak_step(window, i):
+    """The window of u*s_i when that is a weak cover between grassmannians, else None."""
+    if not window_at(window, i) < window_at(window, i + 1):
+        return None
+    out = times_s(window, i)
+    return out if grassmannian_window(out) else None
+
+
+def grassmannian_windows(k, top):
+    """Windows of the grassmannians of each length 0..top, grown by weak steps."""
+    layers = [{tuple(range(1, k + 2))}]
+    for _ in range(top):
+        layers.append({y for x in layers[-1] for i in range(k + 1)
+                       if (y := weak_step(x, i)) is not None})
+    return layers
+
+
+def core_of_window(window) -> tuple:
+    """The (k+1)-core of a grassmannian window, by walking its boundary path:
+    each position with u(p) <= 0 after some positive entries cuts off a row
+    of as many cells as there are positive entries before it."""
+    reach = max(abs(x) for x in window) + len(window)  # u(p) <= 0 before, > 0 after
+    rows, positives = [], 0
+    for p in range(-reach, reach + 1):
+        if window_at(window, p) > 0:
+            positives += 1
+        elif positives:
+            rows.append(positives)
+    return tuple(sorted(rows, reverse=True))

@@ -5,6 +5,7 @@ import pytest
 from bruhat_kit import affinegraph, affineperm, kschur
 from bruhat_kit.affineperm import AffinePermutation, CorePartition
 from bruhat_kit.errors import BadPair, KMismatch, NotACore, NotGrassmannian
+from oracles import core_of_window, grassmannian_window, grassmannian_windows, times_s
 
 
 def test_window_validation():
@@ -94,6 +95,39 @@ def test_round_trip_all_small_grassmannians():
                 assert affineperm.from_core(core, k) == u
                 assert sum(affineperm.kbounded_from_core(core)) == ell
                 assert affineperm.length_affine(u) == ell
+
+
+def test_core_bijection_matches_a_plain_window_walk():
+    # every 0-grassmannian of length <= 9 at k = 1..5, grown and read by tests/oracles.py
+    counts = []
+    for k in range(1, 6):
+        layers = grassmannian_windows(k, 9)
+        counts.append(sum(map(len, layers)))
+        for window in set().union(*layers):
+            core = core_of_window(window)
+            assert affineperm.to_core(AffinePermutation(window)).partition == core, window
+            assert affineperm.from_core(CorePartition(core, k + 1), k).window == window, core
+    assert counts == [10, 30, 53, 71, 83]  # k-bounded partitions of size <= 9
+
+
+def test_is_grassmannian_matches_the_increasing_positions_of_1_to_k_plus_1():
+    # every window within 6 simple reflections of the identity, grassmannian or not
+    counts = []
+    for k in range(1, 5):
+        ball = {tuple(range(1, k + 2))}
+        for _ in range(6):
+            ball |= {times_s(x, i) for x in ball for i in range(k + 1)}
+        grassmannian = 0
+        for window in ball:
+            u = AffinePermutation(window)
+            expected = grassmannian_window(window)
+            assert affineperm.is_grassmannian(u) == expected, window
+            grassmannian += expected
+            if not expected:
+                with pytest.raises(NotGrassmannian):
+                    affineperm.to_core(u)
+        counts.append((len(ball), grassmannian))
+    assert counts == [(13, 7), (64, 16), (195, 23), (456, 27)]
 
 
 def test_multiply():

@@ -185,6 +185,15 @@ def test_relations_rule_below_its_minimum_k_checks_nothing_and_passes(capsys):
     assert out == "A: checked 0, nonzero 0, failures 0\nok: True\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["kschur", "--k", "0", "--degree", "2"],
+    ["core", "--k", "0", "--u", "[1]"],
+])
+def test_k_below_1_exits_3_naming_k(capsys, argv):
+    # the window (1,) does have length k+1, so k itself must be what is blamed
+    assert run(capsys, *argv) == (3, "", "error: k must be at least 1, got 0\n")
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "affine", "--k", "2", "--u", "[1,4,3]",
                        "--w", "[1,2,3]")

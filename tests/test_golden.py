@@ -39,6 +39,11 @@ def golden_commands() -> list[list[str]]:
     commands += [["kschur", "--k", str(k), "--degree", "9", "--matrix", "--invert", "--json"]
                  for k in range(3, 6)]
     commands += [["rbruhat", "--zeta", PADDED_ZETA, "--chains", "--schur", "--json"]]
+    # both directions of the core bijection, and one rejection each way
+    commands += [["core", "--k", k, *arg, "--json"] for k, arg in (
+        ("5", ["--u", "[-6,8,3,-1,4,13]"]), ("5", ["--mu", "7,5,3,2,2,2,1"]),
+        ("5", ["--u", "[8,-6,-2,9,13,-1]"]), ("2", ["--mu", "3,1"]),
+        ("1", ["--mu", "2"]), ("2", ["--u", "[2,1,3]"]))]
     return commands
 
 

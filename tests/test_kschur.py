@@ -6,7 +6,7 @@ import pytest
 from bruhat_kit import affineperm, combinat, kschur, qsym
 from bruhat_kit.affineperm import AffinePermutation, length_affine
 from bruhat_kit.errors import MOutOfRange, NotGrassmannian, NotUnitriangular
-from oracles import compositions
+from oracles import compositions, grassmannian_windows, weak_step
 
 
 def test_weak_covers_examples():
@@ -273,33 +273,6 @@ def test_kschur_in_h_rejects_a_broken_matrix(monkeypatch):
         kschur.kschur_in_h(AffinePermutation((2, 4, 0)))
 
 
-def window_at(window, i):
-    n = len(window)
-    q, r = divmod(i - 1, n)
-    return window[r] + q * n
-
-
-def grassmannian_window(window):
-    """Whether the values 1..k+1 stand at increasing positions."""
-    n = len(window)
-    positions = []
-    for v in range(1, n + 1):
-        j = next(j for j in range(n) if (window[j] - v) % n == 0)
-        positions.append(j + 1 + v - window[j])
-    return all(a < b for a, b in zip(positions, positions[1:]))
-
-
-def weak_step(window, i):
-    """The window of u*s_i when that is a weak cover between grassmannians, else None."""
-    n = len(window)
-    if not window_at(window, i) < window_at(window, i + 1):
-        return None
-    out = tuple(window_at(window, p + 1) if (p - i) % n == 0
-                else window_at(window, p - 1) if (p - i - 1) % n == 0
-                else window[p - 1] for p in range(1, n + 1))
-    return out if grassmannian_window(out) else None
-
-
 def pieri_by_hours(window, m):
     """Sorted endpoints of the weak chains that read m hours in cyclic order."""
     k = len(window) - 1
@@ -314,15 +287,6 @@ def pieri_by_hours(window, m):
         if x is not None:
             ends.append(x)
     return sorted(ends)
-
-
-def grassmannian_windows(k, top):
-    """Windows of the grassmannians of each length 0..top, grown by weak steps."""
-    layers = [{tuple(range(1, k + 2))}]
-    for _ in range(top):
-        layers.append({y for x in layers[-1] for i in range(k + 1)
-                       if (y := weak_step(x, i)) is not None})
-    return layers
 
 
 def test_pieri_kschur_matches_an_enumeration_by_hours():

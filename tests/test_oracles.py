@@ -1,15 +1,23 @@
-"""The finite K function against Schubert polynomials by divided differences.
+"""Both K functions against oracles that share no code with the strong orders.
 
 Bergeron-Sottile: the S_w-coefficient of S_u * s_lam(x_1..x_r) is the
 s_lam-coefficient of the Schur expansion of K_{[u, w]_r}.  The left side
 comes from tests/oracles.py, which imports nothing from bruhat_kit.
+
+Lam-Lapointe-Morse-Shimozono: the s_lam-coefficient of the affine K_{[u, w]}
+is the Hall pairing <s_lam * dF_u, s^(k)_w> of a dual k-Schur and a k-Schur
+function.  Both come from the weak order side (kschur), and the product and
+pairing from tests/oracles.py; nothing on that side touches affinegraph.
 """
 
 import itertools
 
-from bruhat_kit import qsym, rbruhat
+from bruhat_kit import affinegraph, kschur, qsym, rbruhat
+from bruhat_kit.affineperm import AffinePermutation
 from bruhat_kit.rbruhat import FinitePermutation as P
-from oracles import inversions, schubert_polynomial, schubert_times_schur
+from oracles import (hall_pairing_with_h, inversions, multiply, partitions,
+                     quasisymmetric_polynomial, schubert_polynomial, schubert_times_schur,
+                     schur_polynomial)
 
 
 def padded(x, n):
@@ -55,3 +63,28 @@ def test_every_zeta_of_s6_matches_schubert_times_schur():
         assert schur_terms_of_k(u, w, r) == \
             schubert_times_schur(padded(u, 6), padded(w, 6), r), images
     assert cases == 719
+
+
+def test_affine_k_matches_the_dual_kschur_pairing_on_every_pair_to_length_6():
+    # dF_u = k_function_weak(id, u) and s^(k)_w = kschur_in_h(w); empty intervals pair to 0
+    found = []
+    for k in range(2, 5):
+        by_length = [kschur.grassmannians_of_length(k, d) for d in range(7)]
+        pairs = nonempty = 0
+        for lw in range(1, 7):
+            kschur_h = {w: kschur.kschur_in_h(w).terms for w in by_length[lw]}
+            for lu in range(lw):
+                for u in by_length[lu]:
+                    dual = quasisymmetric_polynomial(
+                        kschur.k_function_weak(AffinePermutation.identity(k), u).terms, lw)
+                    products = {lam: multiply(schur_polynomial(lam, lw, lw), dual)
+                                for lam in partitions(lw - lu)}
+                    for w in by_length[lw]:
+                        pairs += 1
+                        terms = qsym.schur_expand(affinegraph.k_function_affine(u, w)).terms
+                        nonempty += bool(terms)
+                        for lam, product in products.items():
+                            assert terms.get(lam, 0) == \
+                                hall_pairing_with_h(product, kschur_h[w], lw), (u, w, lam)
+        found.append((pairs, nonempty))
+    assert found == [(106, 94), (212, 162), (286, 197)]  # (pairs, nonempty intervals) per k

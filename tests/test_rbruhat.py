@@ -186,6 +186,25 @@ def test_no_chain_matches_zero_word():
             assert not rbruhat.is_zero_word(c.steps)
 
 
+def test_rewrites_connect_every_chain_set_of_s6():
+    # a box proof of what the two sampled tests above check: the rewrite closure of
+    # the first chain is the whole chain set, and no chain is a zero word.  S6 holds
+    # S5 as the zetas that fix 6, which trim to the same interval.
+    intervals = chains_seen = 0
+    for images in itertools.permutations(range(1, 7)):
+        zeta = P(images)
+        if not zeta.images:
+            continue
+        u, w, r = rbruhat.interval_from_zeta(zeta)
+        chains = rbruhat.all_chains(u, w, r)
+        words = {c.steps for c in chains}
+        assert rbruhat.rewrite_closure(chains[0].steps) == words, images
+        assert not any(rbruhat.is_zero_word(word) for word in words), images
+        intervals += 1
+        chains_seen += len(words)
+    assert (intervals, chains_seen) == (719, 5025)
+
+
 def test_interval_isomorphism_small():
     zeta = P((1, 3, 2))
     u0, w0, r0 = rbruhat.interval_from_zeta(zeta)
