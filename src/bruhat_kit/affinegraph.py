@@ -251,10 +251,6 @@ class VerificationReport:
     note: str = ""
 
 
-def _res(n: int, x: int) -> int:
-    return x % n
-
-
 def _relation_words(tag: str, k: int, letters):
     """(lhs_word, rhs_word, u_condition) for a rule; validates the letters."""
     n = k + 1
@@ -264,7 +260,7 @@ def _relation_words(tag: str, k: int, letters):
 
     if tag == "A":
         (a, b), (c, d) = letters
-        if len({_res(n, x) for x in (a, b, c, d)}) != 4:
+        if len({x % n for x in (a, b, c, d)}) != 4:
             bad("residues must be distinct")
         return ((a, b), (c, d)), ((c, d), (a, b)), None
     if tag == "B1":
@@ -274,8 +270,8 @@ def _relation_words(tag: str, k: int, letters):
         return ((a, b), (c, d)), ((c, d), (a, b)), None
     if tag == "B2":
         (a, b), (c, d) = letters
-        if not ((_res(n, a) == _res(n, c) and b <= d)
-                or (_res(n, b) == _res(n, d) and c <= a)):
+        if not ((a % n == c % n and b <= d)
+                or (b % n == d % n and c <= a)):
             bad("need matching residues with the stated inequality")
         return ((a, b), (c, d)), None, None
     if tag == "C1":
@@ -290,8 +286,8 @@ def _relation_words(tag: str, k: int, letters):
         return ((a, b), (b, d)), ((b, d), (a, b)), None
     if tag == "D":
         a, b, c, d = letters
-        if not (a < b < c < d and _res(n, b) == _res(n, c)
-                and _res(n, d) == _res(n, a) and (b - a) + (d - c) == n):
+        if not (a < b < c < d and b % n == c % n
+                and d % n == a % n and (b - a) + (d - c) == n):
             bad("need matched residues with gap sum k+1")
         return ((a, b), (c, d)), ((d - n, c), (b - n, a)), None
     if tag in ("E1", "E2"):
@@ -314,23 +310,23 @@ def _relation_words(tag: str, k: int, letters):
     r = (b - a) + (d - c)
     lhs = ((a, b), (c, d))
     if tag in ("X1", "X2"):
-        if not (r < n and _res(n, d) == _res(n, a)):
+        if not (r < n and d % n == a % n):
             bad("need r<k+1 and d = a mod k+1")
         if tag == "X1":
             return lhs, ((d, c + r), (b - r, a)), lambda u: u(c) <= 0 and u(d) <= 0
         return lhs, ((c, d), (b - r, b)), lambda u: u(d) > 0
     if tag in ("X3", "X4"):
-        if not (r < n and _res(n, b) == _res(n, c)):
+        if not (r < n and b % n == c % n):
             bad("need r<k+1 and b = c mod k+1")
         if tag == "X3":
             return lhs, ((d - r, d), (a, b)), lambda u: u(a + r) <= 0
         return lhs, ((d - r, c), (b, a + r)), lambda u: u(b) > 0 and u(a + r) > 0
     if tag == "X5":
-        if not (_res(n, b) == _res(n, d) and b - a > d - c):
+        if not (b % n == d % n and b - a > d - c):
             bad("need b = d mod k+1 and b-a > d-c")
         return lhs, ((c, d), (a, b + c - d)), lambda u: u(d - b + a) > 0
     if tag == "X6":
-        if not (_res(n, b) == _res(n, d) and b - a < d - c):
+        if not (b % n == d % n and b - a < d - c):
             bad("need b = d mod k+1 and b-a < d-c")
         return lhs, ((c, d - b + a), (a, b)), lambda u: u(a) <= 0
     raise PatternMismatch(f"unknown relation tag {tag!r}")
@@ -413,10 +409,10 @@ def sample_letters(tag: str, k: int, rng):
     if tag == "C1":
         a = base
         return (a, a + rng.randint(1, k), a + n)
-    if tag == "C2":
+    if tag in ("C2", "F"):
         gab = rng.randint(1, k - 1)
-        gbd = rng.randint(1, k - gab)
-        return (base, base + gab, base + gab + gbd)
+        gbc = rng.randint(1, k - gab)
+        return (base, base + gab, base + gab + gbc)
     if tag == "D":
         a = base
         gab = rng.randint(1, k)
@@ -429,10 +425,6 @@ def sample_letters(tag: str, k: int, rng):
         gcd = rng.randint(1, k - gbc)
         a = base
         return (a, a + gab, a + gab + gbc, a + gab + gbc + gcd)
-    if tag == "F":
-        gab = rng.randint(1, k - 1)
-        gbc = rng.randint(1, k - gab)
-        return (base, base + gab, base + gab + gbc)
     if tag in ("X1", "X2"):
         gab = rng.randint(1, k - 1)
         gdc = rng.randint(1, k - gab)

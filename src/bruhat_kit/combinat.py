@@ -10,7 +10,7 @@ partial sums below n, as bits of an int); refinements are supersets.
 
 from collections import Counter
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import factorial
 
 from .errors import EmptyChain
@@ -150,10 +150,10 @@ def conjugate(lam: Partition) -> Partition:
 def kostka(lam: Partition, mu: Composition) -> int:
     """Number of semistandard Young tableaux of shape lam and content mu.
 
-    Counts tableaux by peeling the cells holding the largest letter,
-    which always form a horizontal strip; memoization keys on the
-    (shape, content) pair.  Content may be any composition; weights
-    must agree or the count is 0.
+    Counts tableaux by peeling the cells holding the largest letter, a
+    horizontal strip lam/nu of mu[-1] cells: lam[i+1] <= nu[i] <= lam[i].
+    Memoization keys on the (shape, content) pair.  Content may be any
+    composition; weights must agree or the count is 0.
     """
     lam = tuple(lam)
     mu = tuple(mu)
@@ -161,38 +161,12 @@ def kostka(lam: Partition, mu: Composition) -> int:
         return 0
     if not mu:
         return 1
-    last = mu[-1]
-    rest = mu[:-1]
+    rest, size = mu[:-1], sum(lam) - mu[-1]
     total = 0
-    for nu in _horizontal_strips_below(lam, last):
-        total += kostka(nu, rest)
+    for nu in product(*(range(lo, hi + 1) for hi, lo in zip(lam, lam[1:] + (0,)))):
+        if sum(nu) == size:
+            total += kostka(tuple(x for x in nu if x), rest)  # zeros trail
     return total
-
-
-def _horizontal_strips_below(lam: Partition, size: int):
-    """Partitions nu inside lam with lam/nu a horizontal strip of the given size."""
-    n = len(lam)
-
-    def go(i, remaining, acc):
-        if i == n:
-            if remaining == 0:
-                nu = tuple(acc)
-                while nu and nu[-1] == 0:
-                    nu = nu[:-1]
-                yield nu
-            return
-        # row i of nu must satisfy lam[i+1] <= nu_i <= lam[i] and nu_i >= next row's
-        # upper bound for the strip condition: lam[i] - nu_i cells removed in row i,
-        # horizontal strip forces nu_i >= lam[i+1]
-        lo = lam[i + 1] if i + 1 < n else 0
-        hi = lam[i]
-        for nu_i in range(hi, lo - 1, -1):
-            removed = hi - nu_i
-            if removed > remaining:
-                continue
-            yield from go(i + 1, remaining - removed, acc + [nu_i])
-
-    yield from go(0, size, [])
 
 
 def distinct_rearrangements(lam: Partition) -> set[Composition]:

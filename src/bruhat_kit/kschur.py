@@ -110,11 +110,6 @@ def kbounded_of(u: AffinePermutation) -> Partition:
     return kbounded_from_core(to_core(u))
 
 
-def _partition_sort_key(lam: Partition):
-    # decreasing lex refines dominance on partitions of one weight
-    return tuple(-x for x in lam)
-
-
 @dataclass
 class KMatrix:
     """Counts of iterated Pieri chains: row lam, column u, entry K(lam, u).
@@ -148,7 +143,8 @@ def k_matrix(k: int, degree: int) -> KMatrix:
     Row lam counts the endpoints of Pieri steps from the identity, one
     step for each part of lam.
     """
-    rows = sorted(combinat.partitions_of(degree, max_part=k), key=_partition_sort_key)
+    # decreasing lex extends dominance, which the back substitution relies on
+    rows = combinat.partitions_of(degree, max_part=k)
     by_partition = {kbounded_of(u): u for u in grassmannians_of_length(k, degree)}
     columns = [by_partition[lam] for lam in rows]
     entries: dict[tuple[Partition, AffinePermutation], int] = {}
@@ -185,7 +181,11 @@ def invert_k_matrix(km: KMatrix) -> dict[Partition, qsym.SymFn]:
 
 
 def kschur_in_h(u: AffinePermutation) -> qsym.SymFn:
-    """Integer h-expansion of the k-Schur function indexed by u."""
+    """Integer h-expansion of the k-Schur function indexed by u.
+
+    Builds and inverts the whole degree-l(u) matrix on every call; for many
+    columns, call invert_k_matrix(k_matrix(k, degree)) once instead.
+    """
     return invert_k_matrix(k_matrix(u.k, length_affine(u)))[kbounded_of(u)]
 
 
@@ -205,7 +205,7 @@ def k_function_weak(u: AffinePermutation, w: AffinePermutation) -> qsym.QuasiSym
     if n < 0:
         return qsym.QuasiSymFn(qsym.M, {})
     if n == 0:
-        return qsym.QuasiSymFn(qsym.M, {(): 1} if u == w else {})
+        return qsym.QuasiSymFn(qsym.M, {(): 1} if u == w and is_grassmannian(u) else {})
     dag = HasseDAG(u, w, n, lambda x, _: [(None, None, y) for y, _ in _segment_counts(x, 1)])
     alive = {x for layer in dag.layers for x in layer}
     terms: dict[tuple[int, int], int] = {}

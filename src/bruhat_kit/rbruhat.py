@@ -7,6 +7,10 @@ for which this module supplies the covers.  The DAG's vertices are image
 tuples padded with fixed points to the interval's size; a vertex's steps
 are read off its tuple, and the positional rule shared with the affine
 order (interval.nothing_between) decides whether a swap is a cover.
+first_chain walks the same DAG, taking at each vertex the step whose a
+stands last at or before r, then whose b stands first after r; on the
+intervals of interval_from_zeta that is the greedy recursion, and it
+raises EmptyInterval exactly when the interval is empty.
 Chains are stored in application order (first step first).  Rendered
 operator words follow the right-to-left convention, so the displayed
 word lists the last step first.
@@ -178,34 +182,22 @@ def interval_from_zeta(zeta: FinitePermutation):
 
 
 def first_chain(u: FinitePermutation, w: FinitePermutation, r: int) -> SchubertChain:
-    """The canonical chain of [u, w]_r, built by the greedy recursion.
+    """The canonical chain of [u, w]_r, a greedy walk of its Hasse DAG.
 
-    At each step take a = x(i) for the largest i <= r where x is still
-    below w, and b = x(j) for the smallest j > r with x(j) > a >= w(j).
-    Raises EmptyInterval when the recursion cannot complete.
+    Of the steps on a chain to w, each takes a from the largest position
+    i <= r, then b from the smallest position j > r.  On the intervals of
+    interval_from_zeta this is the greedy recursion: i is the last position
+    <= r with x(i) < w(i), j the first > r with x(j) > x(i) >= w(j).
+    Raises EmptyInterval exactly when the interval is empty.
     """
-    n = max(len(u.images), len(w.images), r + 1)
-    steps = []
-    x = u
-    guard = length(w) - length(u)
-    while x != w:
-        if guard <= 0:
-            raise EmptyInterval(f"no chain from {x.images} to {w.images} at r={r}")
-        cands = [i for i in range(1, r + 1) if x(i) < w(i)]
-        if not cands:
-            raise EmptyInterval(f"no chain from {u.images} to {w.images} at r={r}")
-        i1 = max(cands)
-        a = x(i1)
-        j1 = next((j for j in range(r + 1, n + 1) if x(j) > a >= w(j)), None)
-        if j1 is None:
-            raise EmptyInterval(f"no chain from {u.images} to {w.images} at r={r}")
-        b = x(j1)
-        nxt = apply_u(x, a, b, r)
-        if nxt is None:
-            raise EmptyInterval(f"no chain from {u.images} to {w.images} at r={r}")
-        steps.append((a, b))
-        x = nxt
-        guard -= 1
+    dag = interval_dag(u, w, r)
+    if not dag.layers[-1]:
+        raise EmptyInterval(f"no chain from {u.images} to {w.images} at r={r}")
+    x, steps = dag.start, []
+    for _ in range(dag.rank):
+        at = x.index
+        step, _, x = max(dag.succ[x], key=lambda s: (at(s[0][0]), -at(s[0][1])))
+        steps.append(step)
     return SchubertChain(u, tuple(steps))
 
 

@@ -153,6 +153,25 @@ def schubert_times_schur(u: tuple, w: tuple, r: int) -> dict:
     return out
 
 
+def greedy_first_chain(u: tuple, w: tuple, r: int):
+    """The greedy chain of [u, w]_r on image tuples of one length, as (a, b)
+    steps: take i as the last position <= r with x(i) < w(i) and j as the
+    first position > r with x(j) > x(i) >= w(j), and swap x(i) and x(j)
+    when that raises the length by one (no value between them stands
+    between them).  None when some step does not exist or is not a cover."""
+    x, w, steps = list(u), list(w), []
+    while x != w:
+        i = max((p for p in range(r) if x[p] < w[p]), default=None)
+        if i is None:
+            return None
+        j = next((q for q in range(r, len(x)) if x[q] > x[i] >= w[q]), None)
+        if j is None or any(x[i] < v < x[j] for v in x[i + 1:j]):
+            return None
+        steps.append((x[i], x[j]))
+        x[i], x[j] = x[j], x[i]
+    return tuple(steps)
+
+
 def inversions(w: tuple) -> int:
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 

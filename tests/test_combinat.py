@@ -82,7 +82,7 @@ def test_kostka_examples():
     assert combinat.kostka((2,), (1, 1, 1)) == 0  # unequal weights
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_kostka_against_bruteforce_ssyt(n):
     parts = combinat.partitions_of(n)
     for lam in parts:

@@ -44,6 +44,9 @@ def golden_commands() -> list[list[str]]:
         ("5", ["--u", "[-6,8,3,-1,4,13]"]), ("5", ["--mu", "7,5,3,2,2,2,1"]),
         ("5", ["--u", "[8,-6,-2,9,13,-1]"]), ("2", ["--mu", "3,1"]),
         ("1", ["--mu", "2"]), ("2", ["--u", "[2,1,3]"]))]
+    # v is the image of the first chain; the last zeta has r = n-1
+    commands += [["embed", "--zeta", zeta, "--json"]
+                 for zeta in ("3 7 1 6 2 5 4", "4 6 7 1 5 2 3", "2 3 4 5 6 7 1")]
     return commands
 
 

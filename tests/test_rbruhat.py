@@ -6,6 +6,7 @@ import pytest
 from bruhat_kit import combinat, qsym, rbruhat
 from bruhat_kit.errors import CapExceeded, EmptyInterval, IdentityInput
 from bruhat_kit.rbruhat import FinitePermutation as P
+from oracles import greedy_first_chain
 
 
 def brute_inversions(images):
@@ -65,6 +66,29 @@ def test_first_chain_empty_interval():
     # u above w entrywise on the left block: no chain
     with pytest.raises(EmptyInterval):
         rbruhat.first_chain(P((2, 1)), P((1, 3, 2)), 1)
+
+
+def test_first_chain_raises_exactly_on_the_empty_intervals_of_s5():
+    # each triple of S3 and S4 is a triple of S5 with the same interval
+    perms = [P(p) for p in itertools.permutations(range(1, 6))]
+    for u, w in itertools.product(perms, repeat=2):
+        for r in range(1, 5):
+            dag = rbruhat.interval_dag(u, w, r)
+            if dag.count() == 0:
+                with pytest.raises(EmptyInterval):
+                    rbruhat.first_chain(u, w, r)
+            else:
+                assert rbruhat.first_chain(u, w, r).steps in dag.walks(), (u, w, r)
+
+
+def test_first_chain_matches_the_greedy_oracle_on_every_zeta_of_s6():
+    for images in itertools.permutations(range(1, 7)):
+        zeta = P(images)
+        if not zeta.images:
+            continue
+        u, w, r = rbruhat.interval_from_zeta(zeta)
+        padded = [tuple(x(i) for i in range(1, 7)) for x in (u, w)]
+        assert rbruhat.first_chain(u, w, r).steps == greedy_first_chain(*padded, r), images
 
 
 KNOWN_WORDS_RIGHT_TO_LEFT = [
