@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import qsym
 from .affineperm import AffinePermutation, is_grassmannian, length_affine, to_core
-from .errors import BadPair, CapExceeded, NotGrassmannian, PatternMismatch
+from .errors import BadPair, CapExceeded, KMismatch, NotGrassmannian, PatternMismatch
 from .interval import DEFAULT_CAP, HasseDAG, nothing_between
 from .kschur import random_grassmannian
 
@@ -152,7 +152,7 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
     reach w.  At most cap vertices are expanded, one out_edges call each.
     """
     if u.k != w.k:
-        raise BadPair(f"k mismatch: {u.k} vs {w.k}")
+        raise KMismatch(f"k mismatch: {u.k} vs {w.k}")
     if not is_grassmannian(u):
         raise NotGrassmannian(f"{u.text()} is not 0-grassmannian")
     if not is_grassmannian(w):
@@ -206,24 +206,22 @@ def k_function_affine(u: AffinePermutation, w: AffinePermutation,
 
 
 def dual_pieri(u: AffinePermutation, m: int) -> list[AffinePermutation]:
-    """Endpoints (with multiplicity) of strictly increasing m-step paths from u."""
+    """Endpoints (with multiplicity) of strictly increasing m-step paths from u,
+    counted depth by depth per (vertex, last label): one out_edges per state."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if not is_grassmannian(u):
         raise NotGrassmannian(f"{u.text()} is not 0-grassmannian")
-    out: list[AffinePermutation] = []
-
-    def go(x, last, left):
-        if left == 0:
-            out.append(x)
-            return
-        for e in out_edges(x):
-            if last is None or e.label > last:
-                go(e.target, e.label, left - 1)
-
-    go(u, None, m)
-    out.sort(key=lambda x: x.window)
-    return out
+    state = {(u, None): 1}
+    for _ in range(m):
+        nxt: dict[tuple, int] = {}
+        for (x, last), c in state.items():
+            for e in out_edges(x):
+                if last is None or e.label > last:
+                    nxt[e.target, e.label] = nxt.get((e.target, e.label), 0) + c
+        state = nxt
+    return sorted((x for (x, _), c in state.items() for _ in range(c)),
+                  key=lambda x: x.window)
 
 
 # ---------------------------------------------------------------------------

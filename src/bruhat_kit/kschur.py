@@ -14,7 +14,7 @@ from . import combinat, qsym
 from .affineperm import (AffinePermutation, is_grassmannian, kbounded_from_core,
                          length_affine, to_core)
 from .combinat import Partition
-from .errors import MOutOfRange, NotGrassmannian, NotUnitriangular
+from .errors import KMismatch, MOutOfRange, NotGrassmannian, NotUnitriangular
 from .interval import HasseDAG
 
 
@@ -197,32 +197,27 @@ def k_function_weak(u: AffinePermutation, w: AffinePermutation) -> qsym.QuasiSym
     are not well defined on the weak order, so no F-basis shortcut
     exists; any F view must go through the basis change.
 
-    Compositions are walked depth first on a stack, as descent sets, so
-    those sharing a prefix share its endpoint counts, and only points on
-    a weak chain from u to w (the one-step Hasse DAG's layers) are kept.
+    A forward DP over the one-step Hasse DAG's layers counts, per vertex,
+    the runs reaching it by descent set (a run from depth d > 0 sets bit d),
+    looking runs up once per vertex and length.  A u that is not
+    0-grassmannian gives the empty DAG: every point above u in the right
+    weak order keeps u's left descents (Bjorner-Brenti 2005).
     """
-    n = length_affine(w) - length_affine(u)
-    if n < 0:
-        return qsym.QuasiSymFn(qsym.M, {})
-    if n == 0:
-        return qsym.QuasiSymFn(qsym.M, {(): 1} if u == w and is_grassmannian(u) else {})
+    if u.k != w.k:
+        raise KMismatch(f"k mismatch: {u.k} vs {w.k}")
+    n = length_affine(w) - length_affine(u) if is_grassmannian(u) else -1
     dag = HasseDAG(u, w, n, lambda x, _: [(None, None, y) for y, _ in _segment_counts(x, 1)])
     alive = {x for layer in dag.layers for x in layer}
-    terms: dict[tuple[int, int], int] = {}
-    pending = [({u: 1}, 0, 0)] if alive else []
-    while pending:
-        state, done, mask = pending.pop()
-        if done == n:
-            terms[n, mask] = state[w]
-            continue
-        if done:
-            mask |= 1 << done
-        for part in range(min(n - done, u.k), 0, -1):  # part 1 is popped first
-            nxt: dict[AffinePermutation, int] = {}
-            for x, c in state.items():
+    states = {x: {0: 1} for x in dag.layers[0]}
+    for depth, layer in enumerate(dag.layers[:-1]):
+        cut = 1 << depth if depth else 0
+        for x in layer:
+            here = states.pop(x)
+            for part in range(1, min(n - depth, u.k) + 1):
                 for y, ways in _segment_counts(x, part):
                     if y in alive:
-                        nxt[y] = nxt.get(y, 0) + c * ways
-            if nxt:
-                pending.append((nxt, done + part, mask))
-    return qsym.from_descent_sets(qsym.M, terms.items())
+                        there = states.setdefault(y, {})
+                        for mask, c in here.items():
+                            there[mask | cut] = there.get(mask | cut, 0) + c * ways
+    ends = states.get(w, {}).items()
+    return qsym.from_descent_sets(qsym.M, (((n, mask), c) for mask, c in ends))

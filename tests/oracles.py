@@ -213,12 +213,18 @@ def window_at(window, i):
     return window[r] + q * n
 
 
-def times_s(window, i):
-    """The window of u*s_i: the entries at positions i and i+1 mod k+1 trade places."""
+def times_t(window, a, b):
+    """The window of u*t(a,b): positions a and b trade entries, and so does
+    every pair shifted from them by a multiple of k+1."""
     n = len(window)
-    return tuple(window_at(window, p + 1) if (p - i) % n == 0
-                 else window_at(window, p - 1) if (p - i - 1) % n == 0
+    return tuple(window_at(window, p + b - a) if (p - a) % n == 0
+                 else window_at(window, p + a - b) if (p - b) % n == 0
                  else window[p - 1] for p in range(1, n + 1))
+
+
+def times_s(window, i):
+    """The window of u*s_i = u*t(i, i+1)."""
+    return times_t(window, i, i + 1)
 
 
 def grassmannian_window(window):
@@ -260,3 +266,38 @@ def core_of_window(window) -> tuple:
         elif positives:
             rows.append(positives)
     return tuple(sorted(rows, reverse=True))
+
+
+def zero_bruhat_edges(window):
+    """(a, b, target window) for every edge of the affine 0-Bruhat graph at u:
+    each pair of positions a < b <= a + k with u(a) <= 0 < u(b) and no u(c),
+    a < c < b, between the two, found by scanning every a near the window."""
+    n = len(window)
+    reach = max(abs(x) for x in window) + 2 * n  # |u(i) - i| <= reach - n
+    edges = []
+    for a in range(-reach, reach + 1):
+        lo = window_at(window, a)
+        if lo > 0:
+            continue
+        for b in range(a + 1, a + n):
+            hi = window_at(window, b)
+            if hi > 0 and not any(lo < window_at(window, c) < hi for c in range(a + 1, b)):
+                edges.append((a, b, times_t(window, a, b)))
+    return edges
+
+
+def dual_pieri_windows(window, m):
+    """The sorted end windows, with multiplicity, of the m-step paths from u
+    whose labels b strictly increase, by recursion on the paths."""
+    out = []
+
+    def go(x, last, left):
+        if left == 0:
+            out.append(x)
+            return
+        for _, b, y in zero_bruhat_edges(x):
+            if last is None or b > last:
+                go(y, b, left - 1)
+
+    go(tuple(window), None, m)
+    return sorted(out)

@@ -7,6 +7,7 @@ import pytest
 from bruhat_kit import affinegraph, affineperm, kschur, qsym
 from bruhat_kit.affineperm import AffinePermutation
 from bruhat_kit.errors import BadPair, CapExceeded, PatternMismatch
+from oracles import dual_pieri_windows, grassmannian_windows, zero_bruhat_edges
 
 U41 = affineperm.parse_window("[-6,8,3,-1,4,13]")
 W41 = affineperm.parse_window("[8,-6,-2,9,13,-1]")
@@ -171,6 +172,19 @@ def test_dual_pieri():
         assert affineperm.length_affine(x) == affineperm.length_affine(U41) + 2
 
 
+def test_dual_pieri_matches_the_path_recursion_on_plain_windows():
+    cases = 0
+    for k in range(1, 5):
+        for layer in grassmannian_windows(k, 4):
+            for window in layer:
+                u = AffinePermutation(window, k)
+                for m in range(1, k + 2):
+                    got = [x.window for x in affinegraph.dual_pieri(u, m)]
+                    assert got == dual_pieri_windows(window, m), (window, m)
+                    cases += 1
+    assert cases == 141
+
+
 def brute_paths(u, w, budget):
     # forward enumeration with no reachability pruning
     out = []
@@ -277,32 +291,6 @@ def test_x_counterexamples_exist():
         assert not witness.holds
 
 
-def ev(window, i):
-    # periodic evaluation straight from the window
-    n = len(window)
-    q, r = divmod(i - 1, n)
-    return window[r] + q * n
-
-
-def definition_edges(u):
-    # every pair a < b with 0 < b - a <= k, u(a) <= 0 < u(b) and no value of
-    # u strictly between u(a) and u(b) at a position strictly between them;
-    # the target swaps the values at a and b in every period
-    win, n = u.window, u.k + 1
-    reach = 2 * (max(abs(x) for x in win) + n)
-    out = []
-    for a in range(-reach, reach + 1):
-        for b in range(a + 1, a + n):
-            ua, ub = ev(win, a), ev(win, b)
-            if not ua <= 0 < ub or any(ua < ev(win, i) < ub for i in range(a + 1, b)):
-                continue
-            target = tuple(ev(win, j + b - a) if (j - a) % n == 0 else
-                           ev(win, j - b + a) if (j - b) % n == 0 else win[j - 1]
-                           for j in range(1, n + 1))
-            out.append((a, b, target))
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def grassmannian_box():
     # (length, u) for every 0-grassmannian of length <= 6, by k = 1..4
@@ -314,7 +302,7 @@ def test_out_edges_match_the_definition_on_a_box():
     for box in grassmannian_box().values():
         for _, u in box:
             got = sorted((e.a, e.b, e.target.window) for e in affinegraph.out_edges(u))
-            assert got == definition_edges(u), u
+            assert got == sorted(zero_bruhat_edges(u.window)), u
 
 
 def test_interval_dag_exhaustive_against_bruteforce():

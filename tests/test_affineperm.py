@@ -211,8 +211,11 @@ def test_trusted_constructor_builds_what_validation_builds():
 
 
 def test_k_mismatch():
-    with pytest.raises(KMismatch):
-        AffinePermutation.identity(2) * AffinePermutation.identity(3)
+    u, w = AffinePermutation.identity(2), kschur.grassmannians_of_length(3, 2)[0]
+    for mismatched in (AffinePermutation.__mul__, kschur.k_function_weak,
+                       affinegraph.interval_dag):
+        with pytest.raises(KMismatch):
+            mismatched(u, w)
 
 
 def test_text_round_trip():

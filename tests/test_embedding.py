@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from bruhat_kit import affinegraph, affineperm, embedding, qsym, rbruhat
+from bruhat_kit import affinegraph, affineperm, embedding, interval, qsym, rbruhat
 from bruhat_kit.rbruhat import FinitePermutation as P
 
 
@@ -132,7 +132,7 @@ def chain_by_chain_report(e):
 
 def test_verify_builds_the_finite_dag_once_and_matches_chain_by_chain(monkeypatch):
     embeddings = [embedding.build_embedding(*rbruhat.interval_from_zeta(zeta))
-                  for zeta in nonidentity_zetas(5)]
+                  for zeta in nonidentity_zetas(6)]
     expected = [chain_by_chain_report(e) for e in embeddings]
     builds = []
     original = rbruhat.interval_dag
@@ -147,6 +147,8 @@ def test_verify_builds_the_finite_dag_once_and_matches_chain_by_chain(monkeypatc
     monkeypatch.setattr(rbruhat, "interval_dag", counting)
     monkeypatch.setattr(rbruhat, "all_chains", forbidden)
     monkeypatch.setattr(rbruhat, "k_function_r", forbidden)
+    monkeypatch.setattr(interval.HasseDAG, "walks", forbidden)
+    monkeypatch.setattr(embedding, "map_chain", forbidden)
     for e, want in zip(embeddings, expected):
         builds.clear()
         report = embedding.verify_embedding(e)
@@ -154,4 +156,44 @@ def test_verify_builds_the_finite_dag_once_and_matches_chain_by_chain(monkeypatc
         got = (report.chains_total, report.mapped_nonzero, report.common_endpoint,
                report.k_schubert.terms, report.dominated)
         assert got == want, e.source_interval
-    assert len(embeddings) == 119
+    assert len(embeddings) == 719
+
+
+def affine_steps(e):
+    """(image, a, b) for every affine step taken by the images of the chains."""
+    x, y, r = e.source_interval
+    steps = set()
+    for chain in rbruhat.all_chains(x, y, r):
+        path = embedding.map_chain(chain, e)
+        for cur, edge in zip((path.start,) + tuple(d.target for d in path.edges), path.edges):
+            steps.add((cur, edge.a, edge.b))
+    return sorted(steps, key=lambda t: (t[0].window, t[1], t[2]))
+
+
+def test_verify_matches_chain_by_chain_with_one_affine_step_broken(monkeypatch):
+    # the Section 5 interval (8 chains) and a rank-one interval, whose one chain dies
+    intervals = [(P((1, 4, 2, 6, 3, 5)), P((3, 5, 6, 1, 2, 4)), 3),
+                 rbruhat.interval_from_zeta(P((2, 1)))]
+    original = affinegraph.apply_t
+    cases, survivors = 0, set()
+    for e in (embedding.build_embedding(*xyr) for xyr in intervals):
+        for chosen in affine_steps(e):
+            def zero_at_chosen(u, a, b):
+                return None if (u, a, b) == chosen else original(u, a, b)
+
+            monkeypatch.setattr(affinegraph, "apply_t", zero_at_chosen)
+            report = embedding.verify_embedding(e)
+            got = (report.chains_total, report.mapped_nonzero, report.common_endpoint)
+            assert got == chain_by_chain_report(e)[:3], chosen
+            assert not report.ok and report.failures[0][0] == "zero image"
+            survivors.add(report.mapped_nonzero)
+
+            # a wrong nonzero image on that step must fail the check as well
+            def stay_at_chosen(u, a, b):
+                return u if (u, a, b) == chosen else original(u, a, b)
+
+            monkeypatch.setattr(affinegraph, "apply_t", stay_at_chosen)
+            assert not embedding.verify_embedding(e).ok, chosen
+            monkeypatch.setattr(affinegraph, "apply_t", original)
+            cases += 1
+    assert (cases, survivors) == (19, {0, 5, 6, 7})

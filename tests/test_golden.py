@@ -47,6 +47,11 @@ def golden_commands() -> list[list[str]]:
     # v is the image of the first chain; the last zeta has r = n-1
     commands += [["embed", "--zeta", zeta, "--json"]
                  for zeta in ("3 7 1 6 2 5 4", "4 6 7 1 5 2 3", "2 3 4 5 6 7 1")]
+    # weak K at rank 7 and 10, and from a start that is not 0-grassmannian
+    commands += [["weak", "--k", k, "--u", u, "--w", w, "--json"] for k, u, w in (
+        ("3", "[-1,0,5,6]", "[-8,-1,6,13]"), ("5", "[-1,0,3,7,4,8]", "[-6,7,8,-1,9,4]"),
+        ("2", "[2,1,3]", "[2,3,1]"))]
+    commands += [["embed", "--zeta", "6 7 1 2 3 8 5 4", "--verify", "--json"]]  # 1,320 chains
     return commands
 
 

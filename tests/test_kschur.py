@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -228,6 +229,26 @@ def test_k_function_weak_matches_the_per_composition_loop():
                     pairs += 1
                     nonzero += u != w and bool(expected)
     assert (pairs, nonzero) == (4645, 188)
+
+
+def test_k_function_weak_looks_up_each_run_once(monkeypatch):
+    # (x, 1) twice: once to build the DAG and once in the DP
+    u = AffinePermutation.identity(3)
+    tops = kschur.grassmannians_of_length(3, 8)
+    expected = [weak_k_by_compositions(u, w) for w in tops]
+    calls = Counter()
+    original = kschur._segment_counts
+
+    def counting(x, m):
+        calls[x, m] += 1
+        return original(x, m)
+
+    monkeypatch.setattr(kschur, "_segment_counts", counting)
+    for w, want in zip(tops, expected):
+        calls.clear()
+        assert kschur.k_function_weak(u, w).terms == want, w
+        assert all(c <= (2 if m == 1 else 1) for (_, m), c in calls.items()), w
+    assert len(tops) == 10 and all(expected)
 
 
 def test_k_function_weak_walks_a_rank_1200_chain_without_recursion():
