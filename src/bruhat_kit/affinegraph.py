@@ -146,10 +146,12 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
                  cap: int = DEFAULT_CAP) -> HasseDAG:
     """The Hasse DAG of [u, w]; steps are AffineEdges labeled b.
 
-    The DAG grows forward from u.  A target is kept when it is
-    0-grassmannian and its core fits inside the core of w, which is
-    exactly when it lies below w; HasseDAG then drops what does not
-    reach w.  At most cap vertices are expanded, one out_edges call each.
+    The DAG grows forward from u.  The 0-grassmannians are closed under
+    out-edges (test_grassmannian_closure_exhaustive: k <= 4, length <= 6),
+    so to_core reads every target and raises NotGrassmannian for one that
+    is not.  A target is kept when its core fits inside the core of w,
+    which is exactly when it lies below w; HasseDAG then drops what does
+    not reach w.  At most cap vertices are expanded, one out_edges each.
     """
     if u.k != w.k:
         raise KMismatch(f"k mismatch: {u.k} vs {w.k}")
@@ -170,7 +172,7 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
             raise CapExceeded(f"interval vertex cap {cap} exceeded "
                               f"at depth {depth} of rank {budget}")
         edges = sorted(out_edges(x), key=lambda e: (e.a, e.b))
-        keep = {t: is_grassmannian(t) and _fits(to_core(t).partition, top)
+        keep = {t: _fits(to_core(t).partition, top)
                 for t in {e.target for e in edges}}  # parallel edges share a target
         return [(e, e.b, e.target) for e in edges if keep[e.target]]
 
@@ -229,7 +231,6 @@ def dual_pieri(u: AffinePermutation, m: int) -> list[AffinePermutation]:
 # ---------------------------------------------------------------------------
 
 ZERO_RULES = frozenset({"B1", "B2", "F"})
-EQUALITY_RULES = frozenset({"A", "C1", "D", "E1", "E2"})
 X_RULES = ("X1", "X2", "X3", "X4", "X5", "X6")
 ALL_RULES = ("A", "B1", "B2", "C1", "C2", "D", "E1", "E2", "F") + X_RULES
 
@@ -246,7 +247,6 @@ class VerificationReport:
     lhs: AffinePermutation | None
     rhs: AffinePermutation | None
     holds: bool
-    note: str = ""
 
 
 def _relation_words(tag: str, k: int, letters):
@@ -343,20 +343,18 @@ def check_relation(tag: str, u: AffinePermutation, letters,
     lhs_word, rhs_word, u_cond = _relation_words(tag, u.k, letters)
     if u_cond is not None and require_u_conditions and not u_cond(u):
         raise PatternMismatch(f"{tag}: sign conditions on u fail at {u.text()}")
+    return VerificationReport(tag, u, tuple(letters), lhs_word, rhs_word,
+                              *_sides(tag, u, lhs_word, rhs_word))
+
+
+def _sides(tag: str, u: AffinePermutation, lhs_word, rhs_word):
+    """(lhs, rhs, holds) at u: zero rules hold when every word vanishes, C2
+    always (its sides are recorded, not compared), the rest when lhs == rhs."""
     lhs = apply_word(u, lhs_word)
     rhs = apply_word(u, rhs_word) if rhs_word is not None else None
     if tag in ZERO_RULES:
-        holds = lhs is None and rhs is None
-        note = "all words evaluate to zero" if holds else "nonzero word found"
-    elif tag == "C2":
-        holds = True
-        note = f"lhs {'nonzero' if lhs is not None else 'zero'}, " \
-               f"rhs {'nonzero' if rhs is not None else 'zero'}"
-    else:
-        holds = lhs == rhs
-        note = "sides agree" if holds else "sides differ"
-    return VerificationReport(tag, u, tuple(letters), lhs_word, rhs_word,
-                              lhs, rhs, holds, note)
+        return lhs, rhs, lhs is None and rhs is None
+    return lhs, rhs, tag == "C2" or lhs == rhs
 
 
 def rule_sampleable(tag: str, k: int) -> bool:
@@ -369,11 +367,21 @@ def rule_sampleable(tag: str, k: int) -> bool:
 
 
 def sample_letters(tag: str, k: int, rng):
-    """Random letters fitting a rule's pattern, or None when k is too small."""
+    """Random letters fitting a rule's pattern, or None when k is too small.
+
+    Every draw fits _relation_words's pattern: A redraws until the residues
+    differ; B1 puts c inside (a, b) below d, or c = b with d - a >= k + 2;
+    B2 shifts a (or b) by m(k+1) to c (or d); C1 sets d = a + k + 1; in C2,
+    E1, E2 and F the gaps are positive and C2's and F's sum to at most k;
+    D's c < d holds because its first gap is below k + 1, and its residues
+    and gap sum k + 1 hold by construction; X1-X4 shift a to d (or b to c)
+    by m(k+1) and draw gaps summing to r <= k, so b < c; X5 and X6 shift b
+    to d and draw d - c <= k on the side of b - a that the rule asks for.
+    """
     n = k + 1
     if not rule_sampleable(tag, k):
         return None
-    base = rng.randint(-n, n)
+    a = rng.randint(-n, n)  # drawn for A too, which redraws it, to keep the RNG stream
     if tag == "A":
         while True:
             a = rng.randint(-n, n)
@@ -383,7 +391,6 @@ def sample_letters(tag: str, k: int, rng):
             if len({x % n for x in (a, b, c, d)}) == 4:
                 return ((a, b), (c, d))
     if tag == "B1":
-        a = base
         if rng.random() < 0.5:
             gab = rng.randint(2, k)
             b = a + gab
@@ -395,7 +402,6 @@ def sample_letters(tag: str, k: int, rng):
         gcd = rng.randint(n + 1 - gab, k)
         return ((a, b), (b, b + gcd))
     if tag == "B2":
-        a = base
         b = a + rng.randint(1, k)
         if rng.random() < 0.5:
             c = a + rng.randint(0, 2) * n
@@ -405,14 +411,12 @@ def sample_letters(tag: str, k: int, rng):
         c = rng.randint(d - k, min(a, d - 1))
         return ((a, b), (c, d))
     if tag == "C1":
-        a = base
         return (a, a + rng.randint(1, k), a + n)
     if tag in ("C2", "F"):
         gab = rng.randint(1, k - 1)
         gbc = rng.randint(1, k - gab)
-        return (base, base + gab, base + gab + gbc)
+        return (a, a + gab, a + gab + gbc)
     if tag == "D":
-        a = base
         gab = rng.randint(1, k)
         m = rng.randint(1, 2)
         b = a + gab
@@ -421,32 +425,27 @@ def sample_letters(tag: str, k: int, rng):
         gab = rng.randint(1, k - 1)
         gbc = rng.randint(1, k - gab)
         gcd = rng.randint(1, k - gbc)
-        a = base
         return (a, a + gab, a + gab + gbc, a + gab + gbc + gcd)
     if tag in ("X1", "X2"):
         gab = rng.randint(1, k - 1)
         gdc = rng.randint(1, k - gab)
-        a = base
         d = a + rng.randint(1, 2) * n
         return (a, a + gab, d - gdc, d)
     if tag in ("X3", "X4"):
         gab = rng.randint(1, k - 1)
         gcd = rng.randint(1, k - gab)
-        a = base
         b = a + gab
         c = b + rng.randint(1, 2) * n
         return (a, b, c, c + gcd)
     if tag == "X5":
         gab = rng.randint(2, k)
         gdc = rng.randint(1, gab - 1)
-        a = base
         b = a + gab
         d = b + rng.randint(1, 2) * n
         return (a, b, d - gdc, d)
     if tag == "X6":
         gab = rng.randint(1, k - 1)
         gdc = rng.randint(gab + 1, k)
-        a = base
         b = a + gab
         d = b + rng.randint(1, 2) * n
         return (a, b, d - gdc, d)
@@ -483,41 +482,40 @@ def _grassmannian_pool(k: int, rng) -> list:
 def sweep_relation(tag: str, k: int, trials: int, rng) -> SweepResult:
     """Randomized soundness sweep of one rule at a fixed k.
 
-    Letters fit the rule's pattern and u is drawn from a pool of random
-    0-grassmannians.  Zero rules record every pattern-valid draw (the
-    claim is that all words vanish).  Equality, C2 and X rules record
-    only draws that exercise the statement (a nonzero side; for X rules
-    the sign conditions must hold and the left side be nonzero), so
-    `trials` counts real evaluations.  Sampling stops early when the
-    budget of _DRAWS_PER_TRIAL draws per trial runs out, which happens at
-    k where the patterns are sparse; `checked` reports what was actually
-    recorded.
+    Letters fit the rule's pattern (see sample_letters) and u is drawn
+    from a pool of random 0-grassmannians.  An X-rule draw whose sign
+    conditions on u fail is skipped before either side is evaluated.
+    Zero rules record every draw (the claim is that all words vanish).
+    The other rules record only draws that exercise the statement (a
+    nonzero side; for X rules a nonzero left side), so `trials` counts
+    real evaluations.  Sampling stops early when the budget of
+    _DRAWS_PER_TRIAL draws per trial runs out, which happens at k where
+    the patterns are sparse; `checked` reports what was actually
+    recorded.  A VerificationReport is built only for a failing draw.
     """
     result = SweepResult(tag, k, trials)
     if not rule_sampleable(tag, k):
         return result
     pool = _grassmannian_pool(k, rng)
-    want_nonzero = tag in EQUALITY_RULES or tag in X_RULES or tag == "C2"
-    x_rule = tag in X_RULES
     budget = _DRAWS_PER_TRIAL * trials
     draws = 0
     while result.checked < trials and draws < budget:
         draws += 1
         letters = sample_letters(tag, k, rng)
         u = rng.choice(pool)
-        try:
-            report = check_relation(tag, u, letters)
-        except PatternMismatch:
+        lhs_word, rhs_word, u_cond = _relation_words(tag, k, letters)
+        if u_cond is not None and not u_cond(u):
             continue
-        if x_rule and report.lhs is None:
+        lhs, rhs, holds = _sides(tag, u, lhs_word, rhs_word)
+        if lhs is None and u_cond is not None:  # X rules need a nonzero left side
             continue
-        if want_nonzero and report.lhs is None and report.rhs is None:
+        if lhs is None and rhs is None and tag not in ZERO_RULES:
             continue
         result.checked += 1
-        if report.lhs is not None or report.rhs is not None:
+        if lhs is not None or rhs is not None:
             result.nonzero += 1
-        if not report.holds:
-            result.failures.append(report)
+        if not holds:
+            result.failures.append(check_relation(tag, u, letters))
     return result
 
 
@@ -527,7 +525,9 @@ def find_x_counterexample(tag: str, k: int, rng) -> VerificationReport | None:
     The witness has the condition violated and the two sides unequal;
     depending on the rule this shows up as a nonzero left side with a
     differing right side, or as a vanishing left side while the right
-    side survives.  Gives up after _X_ATTEMPTS draws.
+    side survives.  A draw that meets the condition is skipped before
+    either side is evaluated, and only the witness goes through
+    check_relation for its report.  Gives up after _X_ATTEMPTS draws.
     """
     if tag not in X_RULES:
         raise PatternMismatch(f"{tag} is not an X rule")
@@ -537,13 +537,10 @@ def find_x_counterexample(tag: str, k: int, rng) -> VerificationReport | None:
     for _ in range(_X_ATTEMPTS):
         letters = sample_letters(tag, k, rng)
         u = rng.choice(pool)
-        try:
-            _, _, u_cond = _relation_words(tag, k, letters)
-            if u_cond(u):
-                continue
-            report = check_relation(tag, u, letters, require_u_conditions=False)
-        except PatternMismatch:
+        lhs_word, rhs_word, u_cond = _relation_words(tag, k, letters)
+        if u_cond(u):
             continue
-        if not report.holds:
-            return report
+        _, _, holds = _sides(tag, u, lhs_word, rhs_word)
+        if not holds:
+            return check_relation(tag, u, letters, require_u_conditions=False)
     return None

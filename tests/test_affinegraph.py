@@ -283,6 +283,38 @@ def test_every_rule_sweeps_at_small_k():
     assert not affinegraph.rule_sampleable("E1", 1) and affinegraph.rule_sampleable("E1", 2)
 
 
+def test_passing_sweep_builds_no_report(monkeypatch):
+    def no_report(*_):
+        raise AssertionError("report work in a passing sweep")
+
+    monkeypatch.setattr(affinegraph, "check_relation", no_report)
+    monkeypatch.setattr(AffinePermutation, "text", no_report)
+    rng = random.Random(3)
+    for k in range(2, 6):
+        for tag in affinegraph.ALL_RULES:
+            assert affinegraph.sweep_relation(tag, k, 25, rng).ok, (tag, k)
+
+
+def test_sampled_letters_fit_their_pattern():
+    # sweeps evaluate every draw without catching PatternMismatch
+    rng = random.Random(11)
+    for k in range(1, 7):
+        for tag in affinegraph.ALL_RULES:
+            if affinegraph.rule_sampleable(tag, k):
+                for _ in range(2000):
+                    affinegraph._relation_words(tag, k, affinegraph.sample_letters(tag, k, rng))
+
+
+def test_sweep_reports_a_failing_draw(monkeypatch):
+    # with every word acting as the identity, B1's zero claim fails at each draw
+    monkeypatch.setattr(affinegraph, "apply_word", lambda u, word: u)
+    res = affinegraph.sweep_relation("B1", 3, 4, random.Random(2))
+    assert not res.ok
+    rep = res.failures[0]
+    assert isinstance(rep, affinegraph.VerificationReport)
+    assert rep.tag == "B1" and not rep.holds and rep.lhs == rep.u
+
+
 def test_x_counterexamples_exist():
     rng = random.Random(13)
     for tag in affinegraph.X_RULES:

@@ -52,6 +52,8 @@ def golden_commands() -> list[list[str]]:
         ("3", "[-1,0,5,6]", "[-8,-1,6,13]"), ("5", "[-1,0,3,7,4,8]", "[-6,7,8,-1,9,4]"),
         ("2", "[2,1,3]", "[2,3,1]"))]
     commands += [["embed", "--zeta", "6 7 1 2 3 8 5 4", "--verify", "--json"]]  # 1,320 chains
+    # D, E1 and X1 stop on the draw budget here, short of 40 checked
+    commands += [["relations", "--k", "4", "--sweep", "40", "--seed", "7", "--json"]]
     return commands
 
 
