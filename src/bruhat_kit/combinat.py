@@ -5,7 +5,7 @@ partition is weakly decreasing and never stores trailing zeros.  The
 empty tuple is the unique object of weight 0.  Compositions with equal
 part multisets are distinct objects (only symmetric functions collapse
 them).  Inside computations a composition of n is its descent set (its
-partial sums below n, as bits of an int); refinements are supersets.
+partial sums below n, as bits of an int); refining a composition adds bits.
 """
 
 from collections import Counter
@@ -55,16 +55,6 @@ def from_descent_set(mask: int, n: int) -> Composition:
     return tuple(parts + [n - prev]) if n else ()
 
 
-def supersets(mask: int, n: int):
-    """Every descent set of n containing mask, with the number of bits it adds."""
-    free = sub = ((1 << n) - 1) & ~1 & ~mask  # bits 1..n-1 outside mask
-    while True:
-        yield mask | sub, sub.bit_count()
-        if not sub:
-            return
-        sub = (sub - 1) & free
-
-
 def descent_mask(labels) -> int:
     """The descent set of a label sequence: bit i for labels[i-1] > labels[i]."""
     mask = 0
@@ -101,9 +91,9 @@ def descent_composition(labels) -> Composition:
 
 
 def refinements(beta: Composition) -> list[Composition]:
-    """All compositions alpha with refines(alpha, beta)."""
-    n = sum(beta)
-    return [from_descent_set(m, n) for m, _ in supersets(descent_set(beta), n)]
+    """All compositions alpha with refines(alpha, beta), by increasing descent set."""
+    n, mask = sum(beta), descent_set(beta)
+    return [from_descent_set(m, n) for m in range(0, 1 << n, 2) if m & mask == mask]
 
 
 def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:

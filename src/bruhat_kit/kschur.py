@@ -143,6 +143,8 @@ def k_matrix(k: int, degree: int) -> KMatrix:
     Row lam counts the endpoints of Pieri steps from the identity, one
     step for each part of lam.
     """
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
     # decreasing lex extends dominance, which the back substitution relies on
     rows = combinat.partitions_of(degree, max_part=k)
     by_partition = {kbounded_of(u): u for u in grassmannians_of_length(k, degree)}

@@ -126,14 +126,20 @@ def f_sum(label_sequences) -> QuasiSymFn:
 
 
 def _refinement_sum(q: QuasiSymFn, basis: str, sign: int) -> QuasiSymFn:
-    """q in basis: each c*B_beta becomes sign^(bits added) * c on each refinement of beta."""
+    """q in basis: each c*B_beta becomes sign^(bits added) * c on each refinement of beta.
+
+    A subset-sum transform on (weight, descent set) keys, one bit at a
+    time (Yates): for bit i = 1, 2, ..., each key of weight n > i lacking
+    bit i adds sign times its coefficient to the same key with bit i set.
+    """
     if q.basis == basis:
         raise ValueError(f"the function is already in the {basis} basis")
-    out: dict[tuple[int, int], int] = {}
-    for beta, c in q.terms.items():
-        n = sum(beta)
-        for mask, added in combinat.supersets(combinat.descent_set(beta), n):
-            out[n, mask] = out.get((n, mask), 0) + (sign * c if added & 1 else c)
+    out = {(sum(beta), combinat.descent_set(beta)): c for beta, c in q.terms.items()}
+    for i in range(1, max((n for n, _ in out), default=0)):
+        bit = 1 << i
+        for (n, mask), c in list(out.items()):
+            if n > i and not mask & bit:
+                out[n, mask | bit] = out.get((n, mask | bit), 0) + sign * c
     return from_descent_sets(basis, out.items())
 
 

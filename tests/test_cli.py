@@ -194,6 +194,11 @@ def test_k_below_1_exits_3_naming_k(capsys, argv):
     assert run(capsys, *argv) == (3, "", "error: k must be at least 1, got 0\n")
 
 
+def test_negative_kschur_degree_exits_3_naming_the_degree(capsys):
+    assert run(capsys, "kschur", "--k", "3", "--degree", "-1") == \
+        (3, "", "error: degree must be nonnegative, got -1\n")
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "affine", "--k", "2", "--u", "[1,4,3]",
                        "--w", "[1,2,3]")

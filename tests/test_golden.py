@@ -54,6 +54,8 @@ def golden_commands() -> list[list[str]]:
     commands += [["embed", "--zeta", "6 7 1 2 3 8 5 4", "--verify", "--json"]]  # 1,320 chains
     # D, E1 and X1 stop on the draw budget here, short of 40 checked
     commands += [["relations", "--k", "4", "--sweep", "40", "--seed", "7", "--json"]]
+    # rank 14: 982 terms in each basis, so cross-term sums in f_to_m and m_to_f show
+    commands += [["weak", "--k", "4", "--u", "[1,2,3,4,5]", "--w", "[11,2,3,-1,0]", "--json"]]
     return commands
 
 

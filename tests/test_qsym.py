@@ -42,14 +42,28 @@ def test_round_trip_identity_on_basis_elements(n):
         assert qsym.m_to_f(qsym.f_to_m(f)).terms == f.terms
 
 
+def block_sum(terms: dict, sign: int) -> dict:
+    """Term by term: each c*B_beta puts sign^(parts added) * c on each refinement of beta."""
+    out = {}
+    for beta, c in terms.items():
+        for a in compositions(sum(beta)):
+            if refines_by_blocks(a, beta):
+                out[a] = out.get(a, 0) + sign ** (len(a) - len(beta)) * c
+    return {a: c for a, c in out.items() if c}
+
+
 def test_basis_changes_match_block_sums_on_basis_elements():
-    for n in range(9):
-        comps = compositions(n)
-        for beta in comps:
-            finer = [a for a in comps if refines_by_blocks(a, beta)]
-            assert qsym.f_to_m(qsym.QuasiSymFn(F, {beta: 1})).terms == dict.fromkeys(finer, 1)
-            assert qsym.m_to_f(qsym.QuasiSymFn(M, {beta: 1})).terms == \
-                {a: (-1) ** (len(a) - len(beta)) for a in finer}
+    # every basis element of weight up to 8, then seeded combinations across
+    # weights 0..9, where refinements of different terms meet and some cancel;
+    # the first combination is the zero function
+    comps = [a for n in range(10) for a in compositions(n)]
+    rng = random.Random(18)
+    inputs = [{beta: 1} for beta in comps if sum(beta) < 9]
+    inputs += [{rng.choice(comps): rng.randint(-3, 3) for _ in range(size)}
+               for size in [0] + [rng.randint(1, 12) for _ in range(40)]]
+    for terms in inputs:
+        assert qsym.f_to_m(qsym.QuasiSymFn(F, terms)).terms == block_sum(terms, 1)
+        assert qsym.m_to_f(qsym.QuasiSymFn(M, terms)).terms == block_sum(terms, -1)
     with pytest.raises(ValueError):
         qsym.f_to_m(qsym.QuasiSymFn(M, {(1,): 1}))
     with pytest.raises(ValueError):
