@@ -186,7 +186,7 @@ class CorePartition:
                 f"{self.partition} has a hook of length {self.modulus}")
 
     def text(self) -> str:
-        return ",".join(str(x) for x in self.partition) if self.partition else "()"
+        return "(" + ",".join(str(x) for x in self.partition) + ")"
 
 
 def _hooks(lam: Partition):

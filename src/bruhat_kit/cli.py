@@ -223,14 +223,13 @@ def _run_core(args) -> int:
     if args.u is not None:
         u = affineperm.parse_window(args.u, args.k)
         core = affineperm.to_core(u)
-        lines = [f"{args.k + 1}-core: ({core.text()})"]
-        payload = {"verb": "core", "window": u.text(), "core": list(core.partition)}
+        lines = [f"{args.k + 1}-core: {core.text()}"]
     else:
         mu = _parse_partition(args.mu)
         core = affineperm.CorePartition(mu, args.k + 1)
         u = affineperm.from_core(core, args.k)
         lines = [f"window: {u.text()}"]
-        payload = {"verb": "core", "window": u.text(), "core": list(core.partition)}
+    payload = {"verb": "core", "window": u.text(), "core": list(core.partition)}
     _emit(args, payload, lines)
     return 0
 

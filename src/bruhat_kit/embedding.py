@@ -1,10 +1,10 @@
 """Placing an r-Bruhat interval inside the affine 0-Bruhat graph.
 
-Given a nonempty interval [x, y]_r of finite permutations, a value
-placement on the integer axis yields a 0-grassmannian u and a shift s
-such that replacing every chain step (a, b) by the affine step
-(a-s, b-s) sends each chain of the interval to a nonzero path from u,
-and all images share one endpoint.
+Given a nonempty interval [x, y]_r of finite permutations, one integer
+shift per position of x, read off x's descent runs, yields a
+0-grassmannian u and a shift s such that replacing every chain step
+(a, b) by the affine step (a-s, b-s) sends each chain of the interval
+to a nonzero path from u, and all images share one endpoint.
 """
 
 from dataclasses import dataclass, field
@@ -28,81 +28,54 @@ class EmbeddingData:
     u_prime_window: tuple[int, ...]
 
 
-def _segments(breaks: list[int]) -> list[tuple[int, int]]:
-    """Consecutive (start, end] blocks between break positions."""
-    return [(breaks[i] + 1, breaks[i + 1]) for i in range(len(breaks) - 1)]
-
-
 def build_embedding(x: FinitePermutation, y: FinitePermutation, r: int) -> EmbeddingData:
     """Construct (k, s, u, v) for a nonempty interval [x, y]_r.
 
-    k+1 is the least window size fixing everything beyond it.  The
-    window [1, k+1] splits into the runs of x cut at its descents and at
-    r; runs after r are laid out right to left with downward shifts of
-    k+1, runs before r right to left above them, so the values 1..k+1
-    land left to right in distinct residues.  The window sum then
-    dictates the shift s that renormalizes u' into a group element u.
-    Degenerate runs (no descent on one side of r) just produce fewer
-    blocks.
+    k+1 is the least window size fixing everything beyond it.  Each
+    position j = 1..k+1 gets a shift c_j: c_1 = l+1, where l counts the
+    descents of x below r; c_j drops by one at each descent x(j-1) > x(j)
+    and resets to 0 at j = r+1.  So c_j is constant on each run of x cut
+    at its descents and at r, and falls from run to run.  With rank_j the
+    1-based position of (c_j, j) in lexicographic order, u' has the entry
+    rank_j - c_j(k+1) at index x(j), and s = sum of the c_j.
+
+    x permutes 1..k+1, so each index gets one entry.  The entries are
+    congruent to the ranks 1..k+1 mod k+1, so their residues are
+    distinct, and their sum is (k+1)(k+2)/2 - (k+1)s, so u(i) = u'(i+s)
+    has the window sum of a group element.  The validating
+    AffinePermutation constructor checks both facts again.
     """
     n1 = max(len(x.images), len(y.images), r + 1, 2)  # this is k+1
     k = n1 - 1
-    alphas = [p for p in range(1, r) if x(p) > x(p + 1)]
-    betas = [p for p in range(r + 1, n1) if x(p) > x(p + 1)]
-    ell = len(alphas)
-
-    # placement: position -> value, walking value 1..k+1 from the last block up
-    placement: dict[int, int] = {}
-    after = _segments([r] + betas + [n1])
-    before = _segments([0] + alphas + [r])
-    value = 1
-    for q in range(len(after), 0, -1):
-        lo, hi = after[q - 1]
-        shift = -(q - 1) * n1
-        for j in range(lo, hi + 1):
-            placement[x(j) + shift] = value
-            value += 1
-    for q in range(len(before), 0, -1):
-        lo, hi = before[q - 1]
-        shift = (ell + 2 - q) * n1
-        for j in range(lo, hi + 1):
-            placement[x(j) + shift] = value
-            value += 1
-
-    window = [None] * n1
-    for pos, val in placement.items():
-        j = (pos - 1) % n1 + 1
-        if window[j - 1] is not None:
-            raise NotGrassmannianResult(f"positions collide mod {n1} for {x.images}")
-        window[j - 1] = val + (j - pos)
-    u_prime = tuple(window)
-    target = n1 * (n1 + 1) // 2
-    s, rem = divmod(target - sum(window), n1)
-    if rem:
-        raise NotGrassmannianResult(f"window sum defect not divisible by {n1}")
+    c = 1 + sum(x(j) > x(j + 1) for j in range(1, r))
+    pairs = []
+    for j in range(1, n1 + 1):
+        c = 0 if j == r + 1 else c - (j > 1 and x(j - 1) > x(j))
+        pairs.append((c, j))
+    window = [0] * n1
+    for rank, (c, j) in enumerate(sorted(pairs), 1):
+        window[x(j) - 1] = rank - c * n1
+    u_prime, s = tuple(window), sum(c for c, _ in pairs)
     u = AffinePermutation((window_eval(u_prime, i + s) for i in range(1, n1 + 1)), k)
     if not is_grassmannian(u):
         raise NotGrassmannianResult(f"construction for {x.images} left W^0")
 
-    image = _map_steps(rbruhat.first_chain(x, y, r).steps, s, u)  # empty when x == y
-    if image is None:
+    steps = rbruhat.first_chain(x, y, r).steps  # empty when x == y
+    v = affinegraph.apply_word(u, ((a - s, b - s) for a, b in steps))
+    if v is None:
         raise NotGrassmannianResult("canonical chain mapped to zero")
-    return EmbeddingData(k, s, u, image.end(), (x, y, r), u_prime)
-
-
-def _map_steps(steps, s: int, u: AffinePermutation):
-    edges, cur = [], u
-    for a, b in steps:
-        cur = affinegraph.apply_t(cur, a - s, b - s)
-        if cur is None:
-            return None
-        edges.append(affinegraph.AffineEdge(a - s, b - s, cur))
-    return affinegraph.AffinePath(u, tuple(edges))
+    return EmbeddingData(k, s, u, v, (x, y, r), u_prime)
 
 
 def map_chain(chain: SchubertChain, e: EmbeddingData):
     """Image of a finite chain under (a, b) -> t(a-s, b-s), or None on zero."""
-    return _map_steps(chain.steps, e.s, e.u)
+    edges, cur = [], e.u
+    for a, b in chain.steps:
+        cur = affinegraph.apply_t(cur, a - e.s, b - e.s)
+        if cur is None:
+            return None
+        edges.append(affinegraph.AffineEdge(a - e.s, b - e.s, cur))
+    return affinegraph.AffinePath(e.u, tuple(edges))
 
 
 @dataclass

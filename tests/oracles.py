@@ -301,3 +301,37 @@ def dual_pieri_windows(window, m):
 
     go(tuple(window), None, m)
     return sorted(out)
+
+
+def block_placement(x: tuple, r: int, n: int):
+    """(u' window, s) of the embedding of an interval [x, y]_r with window
+    size n, by the block placement of the paper's Section 5: cut x(1..n) at
+    its descents and at r; lay the blocks after r out right to left with
+    downward shifts of n, then the blocks before r right to left above
+    them, so that the values 1..n land left to right on the integer axis.
+    A value at position p sits in window slot p mod n, and the window sum
+    fixes s."""
+    x = tuple(x) + tuple(range(len(x) + 1, n + 1))
+    alphas = [p for p in range(1, r) if x[p - 1] > x[p]]
+    betas = [p for p in range(r + 1, n) if x[p - 1] > x[p]]
+    after = list(zip([r] + betas, betas + [n]))
+    before = list(zip([0] + alphas, alphas + [r]))
+    placement, value = {}, 1
+    for q in range(len(after), 0, -1):
+        lo, hi = after[q - 1]
+        for j in range(lo + 1, hi + 1):
+            placement[x[j - 1] - (q - 1) * n] = value
+            value += 1
+    for q in range(len(before), 0, -1):
+        lo, hi = before[q - 1]
+        for j in range(lo + 1, hi + 1):
+            placement[x[j - 1] + (len(alphas) + 2 - q) * n] = value
+            value += 1
+    window = [None] * n
+    for pos, val in placement.items():
+        j = (pos - 1) % n + 1
+        assert window[j - 1] is None, f"positions collide mod {n}"
+        window[j - 1] = val + (j - pos)
+    s, rem = divmod(n * (n + 1) // 2 - sum(window), n)
+    assert rem == 0, f"window sum defect not divisible by {n}"
+    return tuple(window), s

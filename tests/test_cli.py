@@ -63,6 +63,11 @@ def test_core_both_directions(capsys):
     assert code == 0 and "window: [2,3,6,0,4]" in out
 
 
+def test_empty_core_prints_one_pair_of_parentheses(capsys):
+    code, out, _ = run(capsys, "core", "--k", "1", "--u", "[1,2]")
+    assert code == 0 and out == "2-core: ()\n"
+
+
 def test_embed_verify(capsys):
     code, out, _ = run(capsys, "embed", "--zeta", "3 6 2 5 4 1", "--verify")
     assert code == 0

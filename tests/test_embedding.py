@@ -1,8 +1,10 @@
+import functools
 import itertools
 import random
 
 from bruhat_kit import affinegraph, affineperm, embedding, interval, qsym, rbruhat
 from bruhat_kit.rbruhat import FinitePermutation as P
+from oracles import block_placement
 
 
 def test_section5_example():
@@ -42,19 +44,44 @@ def test_section5_verification_report():
     assert not report.k_schubert.dominates(report.k_affine)
 
 
+@functools.cache
+def diagonal_embeddings():
+    """The embeddings of [x, x]_r for every x in S_1..S_6 and r = 0..n."""
+    return tuple(embedding.build_embedding(P(images), P(images), r) for n in range(1, 7)
+                 for images in itertools.permutations(range(1, n + 1))
+                 for r in range(n + 1))
+
+
+def window_size(x, y, r):
+    """The least k+1 >= 2 above r beyond which x and y fix every position."""
+    return max([i for t in (x, y) for i, v in enumerate(t.images, 1) if v != i]
+               + [r + 1, 2])
+
+
+def test_shift_construction_matches_the_block_placement():
+    embeddings = diagonal_embeddings() + tuple(
+        embedding.build_embedding(*rbruhat.interval_from_zeta(zeta))
+        for zeta in nonidentity_zetas(6))
+    for e in embeddings:
+        x, y, r = e.source_interval
+        assert e.k + 1 == window_size(x, y, r)
+        want = block_placement(x.images, r, e.k + 1)
+        assert (e.u_prime_window, e.s) == want, e.source_interval
+    assert len(embeddings) == 5912 + 719
+
+
 def test_window_pattern_matches_x_inverse():
-    x = P((1, 4, 2, 6, 3, 5))
-    y = P((3, 5, 6, 1, 2, 4))
-    e = embedding.build_embedding(x, y, 3)
-    n1 = e.k + 1
-    segment = [e.u(i - e.s) for i in range(1, n1 + 1)]
-    assert tuple(segment) == e.u_prime_window
-    xinv = [x.inverse()(i) for i in range(1, n1 + 1)]
+    section5 = embedding.build_embedding(P((1, 4, 2, 6, 3, 5)), P((3, 5, 6, 1, 2, 4)), 3)
     ranks = lambda seq: [sorted(seq).index(v) for v in seq]
-    assert ranks(segment) == ranks(xinv)
-    # the r smallest entries of the segment are the nonpositive ones
-    r = 3
-    assert sorted(segment)[:r] == sorted(v for v in segment if v <= 0)
+    for e in (section5,) + diagonal_embeddings():
+        x, _, r = e.source_interval
+        n1 = e.k + 1
+        segment = [e.u(i - e.s) for i in range(1, n1 + 1)]
+        assert tuple(segment) == e.u_prime_window
+        xinv = [x.inverse()(i) for i in range(1, n1 + 1)]
+        assert ranks(segment) == ranks(xinv), e.source_interval
+        # the r smallest entries of the segment are the nonpositive ones
+        assert sorted(segment)[:r] == sorted(v for v in segment if v <= 0), e.source_interval
 
 
 def test_rank_one_and_degenerate_blocks():
