@@ -172,9 +172,7 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
             raise CapExceeded(f"interval vertex cap {cap} exceeded "
                               f"at depth {depth} of rank {budget}")
         edges = sorted(out_edges(x), key=lambda e: (e.a, e.b))
-        keep = {t: _fits(to_core(t).partition, top)
-                for t in {e.target for e in edges}}  # parallel edges share a target
-        return [(e, e.b, e.target) for e in edges if keep[e.target]]
+        return [(e, e.b, e.target) for e in edges if _fits(to_core(e.target).partition, top)]
 
     return HasseDAG(u, w, budget, steps)
 

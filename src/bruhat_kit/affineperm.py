@@ -9,7 +9,9 @@ Everything about 0-grassmannians and (k+1)-cores is read off one abacus
 (James-Kerber): in each residue class of positions mod k+1 the entries are
 <= 0 up to one position, the class *top*, and positive after it.  u is
 0-grassmannian when its tops, read left to right, carry -k, ..., 0, and the
-tops, read as beta-numbers, draw the boundary path of the core.
+tops, read as beads (beta-numbers), draw the boundary path of the core.  A
+partition's beads also give its hooks, so the core test and the k-bounded
+rows are read off them.
 """
 
 from dataclasses import dataclass
@@ -135,20 +137,10 @@ def window_eval(window, i: int) -> int:
 
 
 def length_affine(u: AffinePermutation) -> int:
-    """Affine inversion count: pairs i <= k+1 < ... with i < j and u(i) > u(j)."""
+    """Inversion count by Shi's formula: sum over i < j of |floor((u(j) - u(i))/(k+1))|."""
     n = u.k + 1
-    total = 0
-    for i in range(1, n + 1):
-        ui = u.window[i - 1]
-        for j0 in range(1, n + 1):
-            if j0 == i:
-                continue
-            diff = ui - u.window[j0 - 1]
-            m_min = 1 if i > j0 else 0
-            m_max = diff // n  # diff is never a multiple of n
-            if m_max >= m_min:
-                total += m_max - m_min + 1
-    return total
+    w = u.window
+    return sum(abs((w[j] - w[i]) // n) for i in range(n) for j in range(i + 1, n))
 
 
 def _tops(u: AffinePermutation) -> list[int]:
@@ -172,7 +164,7 @@ def is_grassmannian(u: AffinePermutation) -> bool:
 
 @dataclass(frozen=True)
 class CorePartition:
-    """A partition with no hook of length equal to the modulus."""
+    """A partition with no hook of length n, the modulus: no bead b > n has a gap at b - n."""
 
     partition: Partition
     modulus: int
@@ -181,20 +173,19 @@ class CorePartition:
         object.__setattr__(self, "partition", combinat.as_partition(self.partition))
         if self.modulus < 2:
             raise ValueError("modulus must be at least 2")
-        if any(hook == self.modulus for _, hook in _hooks(self.partition)):
-            raise NotACore(
-                f"{self.partition} has a hook of length {self.modulus}")
+        beads = set(_beads(self.partition))
+        if any(b > self.modulus and b - self.modulus not in beads for b in beads):
+            raise NotACore(f"{self.text()} has a hook of length {self.modulus}")
 
     def text(self) -> str:
         return "(" + ",".join(str(x) for x in self.partition) + ")"
 
 
-def _hooks(lam: Partition):
-    """(row, hook length) of every cell of lam, row by row."""
-    conj = combinat.conjugate(lam)
-    for r, part in enumerate(lam):
-        for c in range(part):
-            yield r, part - c + conj[c] - r - 1
+def _beads(lam: Partition) -> list[int]:
+    """The beta-numbers lam_i + len(lam) - i of lam, rising; every position
+    <= 0 counts as a bead too.  Each hook of lam joins a bead b to a gap
+    g < b, a position >= 1 with no bead, and has length b - g."""
+    return [part + i for i, part in enumerate(reversed(lam), 1)]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -225,34 +216,32 @@ def from_core(core: CorePartition, k: int) -> AffinePermutation:
     """The 0-grassmannian whose boundary path draws the given (k+1)-core.
 
     Anchored at position 1, the vertical steps are every position <= 0 and
-    the beta-numbers lam_i + len(lam) - i (row i, 0-based).  The top of each
-    class is its last vertical step, and grassmannianity forces the tops to
-    carry -k, ..., 0 left to right; the window is then shifted to restore
-    the sum invariant.
+    the beads of the core.  The top of each class is its last vertical step,
+    grassmannianity forces the tops to carry -k, ..., 0 left to right, and a
+    shift of positions by s restores the sum invariant.  Nothing needs a
+    check: the n = k+1 tops carry -k..0, which sum to -n(n-1)/2, so the sum
+    defect is n(n + the sum of floor((p-1)/n) over the tops p), a multiple of
+    n.  With f the raw window extended periodically, each top p has f(p) = v
+    in -k..0, so f(p) <= 0 < f(p+n) = v + n: p is its class's top, and the
+    tops carry -k..0 from left to right.  The shift by s keeps both facts.
     """
     if core.modulus != k + 1:
         raise NotACore(f"core modulus {core.modulus} does not match k+1={k + 1}")
     n = k + 1
-    lam = core.partition
-    steps = list(range(1 - n, 1)) + [lam[i] + len(lam) - i for i in reversed(range(len(lam)))]
+    steps = [*range(1 - n, 1), *_beads(core.partition)]
     tops = {(p - 1) % n: p for p in steps}  # steps rise, so each class keeps its last
     window = [0] * n
     for val, p in zip(range(-k, 1), sorted(tops.values())):
         window[(p - 1) % n] = val - (p - 1) // n * n
-    s, rem = divmod(n * (n + 1) // 2 - sum(window), n)
-    if rem:
-        raise NotACore(f"window sum defect not a multiple of {n} for {lam}")
-    u = AffinePermutation((window_eval(window, i + s) for i in range(1, n + 1)), k)
-    if not is_grassmannian(u):
-        raise NotACore(f"reconstruction from {lam} is not grassmannian")
-    return u
+    s = (n * (n + 1) // 2 - sum(window)) // n
+    return AffinePermutation((window_eval(window, i + s) for i in range(1, n + 1)), k)
 
 
 def kbounded_from_core(core: CorePartition) -> Partition:
-    """Delete the cells of hook length > k and left-justify the rows."""
+    """Delete the cells of hook length > k and left-justify the rows: the row with
+    bead b has the hooks b - g over the gaps g < b, and keeps those with b - k <= g."""
     k = core.modulus - 1
-    rows = [0] * len(core.partition)
-    for r, hook in _hooks(core.partition):
-        if hook <= k:
-            rows[r] += 1
-    return combinat.as_partition(rows)
+    beads = _beads(core.partition)
+    taken = set(beads)
+    return combinat.as_partition(
+        sum(1 for g in range(max(b - k, 1), b) if g not in taken) for b in reversed(beads))

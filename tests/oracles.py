@@ -7,7 +7,8 @@ x_1..x_N) to integer coefficients; permutations are image tuples of
 w(i) > w(i+1).  Schur polynomials come from semistandard tableaux.
 Compositions are tuples, listed by their first part and compared by
 block sums, with no descent sets.  Affine permutations are plain windows
-(u(1), ..., u(k+1)), evaluated position by position.
+(u(1), ..., u(k+1)), evaluated position by position.  Hook lengths are
+arm + leg + 1, counted cell by cell.
 """
 
 from collections import Counter
@@ -266,6 +267,17 @@ def core_of_window(window) -> tuple:
         elif positives:
             rows.append(positives)
     return tuple(sorted(rows, reverse=True))
+
+
+def hook_lengths(lam) -> tuple:
+    """The hook length arm + leg + 1 of every cell of lam, one tuple per row."""
+    return tuple(tuple((part - c - 1) + sum(1 for below in lam[r + 1:] if below > c) + 1
+                       for c in range(part)) for r, part in enumerate(lam))
+
+
+def kbounded_rows(lam, k) -> tuple:
+    """lam with every cell of hook length > k deleted and the rows left-justified."""
+    return tuple(sum(1 for h in row if h <= k) for row in hook_lengths(lam))
 
 
 def zero_bruhat_edges(window):

@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from bruhat_kit import affinegraph, affineperm, kschur
 from bruhat_kit.affineperm import AffinePermutation, CorePartition
 from bruhat_kit.errors import BadPair, KMismatch, NotACore, NotGrassmannian
-from oracles import core_of_window, grassmannian_window, grassmannian_windows, times_s
+from oracles import (core_of_window, grassmannian_window, grassmannian_windows, hook_lengths,
+                     kbounded_rows, partitions, times_s)
 
 
 def test_window_validation():
@@ -29,9 +31,9 @@ def test_eval_and_position():
 
 
 def brute_length(u):
-    # scan a window of j values wide enough to see every inversion
+    # u(j) >= min(window) + j - (k+1), so no j >= max - min + k+1 has u(j) < u(i)
     n = u.k + 1
-    span = max(abs(x) for x in u.window) + 2 * n
+    span = max(u.window) - min(u.window) + n
     total = 0
     for i in range(1, n + 1):
         for j in range(i + 1, i + span):
@@ -47,6 +49,18 @@ def test_length_affine():
     assert affineperm.length_affine(u) == 5 == brute_length(u)
     w = affineperm.parse_window("[8,-6,-2,9,13,-1]")
     assert affineperm.length_affine(w) == brute_length(w)
+    # a seeded box: permute 1..k+1, then shift each entry by c(k+1), c in -3..3, sum c = 0
+    rng = random.Random(0)
+    for k in range(1, 7):
+        n = k + 1
+        for _ in range(200):
+            shifts = [rng.randint(-3, 3) for _ in range(k)]
+            if abs(sum(shifts)) > 3:
+                continue
+            shifts.append(-sum(shifts))
+            window = [v + c * n for v, c in zip(rng.sample(range(1, n + 1), n), shifts)]
+            u = AffinePermutation(window)
+            assert affineperm.length_affine(u) == brute_length(u), window
 
 
 def test_is_grassmannian():
@@ -78,6 +92,28 @@ def test_not_a_core():
         CorePartition((2,), 2)  # hook of length 2
     with pytest.raises(NotACore):
         affineperm.from_core(CorePartition((2,), 4), 2)  # modulus mismatch
+
+
+def test_cores_and_kbounded_rows_match_the_hook_oracle():
+    # every partition of size <= 14 against every modulus 2..8, hooks counted cell by cell
+    cores = 0
+    for size in range(15):
+        for lam in partitions(size):
+            hooks = {h for row in hook_lengths(lam) for h in row}
+            for n in range(2, 9):
+                if n in hooks:
+                    with pytest.raises(NotACore):
+                        CorePartition(lam, n)
+                    continue
+                core = CorePartition(lam, n)
+                rows = affineperm.kbounded_from_core(core)
+                assert rows == kbounded_rows(lam, n - 1), (lam, n)
+                u = affineperm.from_core(core, n - 1)
+                assert affineperm.is_grassmannian(u), (lam, n)
+                assert affineperm.to_core(u) == core
+                assert affineperm.length_affine(u) == sum(rows)
+                cores += 1
+    assert cores == 767
 
 
 def test_to_core_requires_grassmannian():

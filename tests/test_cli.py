@@ -199,6 +199,11 @@ def test_k_below_1_exits_3_naming_k(capsys, argv):
     assert run(capsys, *argv) == (3, "", "error: k must be at least 1, got 0\n")
 
 
+def test_non_core_error_writes_the_partition_as_the_cli_does(capsys):
+    assert run(capsys, "core", "--k", "2", "--mu", "1,1,1,1") == \
+        (3, "", "error: (1,1,1,1) has a hook of length 3\n")
+
+
 def test_negative_kschur_degree_exits_3_naming_the_degree(capsys):
     assert run(capsys, "kschur", "--k", "3", "--degree", "-1") == \
         (3, "", "error: degree must be nonnegative, got -1\n")
