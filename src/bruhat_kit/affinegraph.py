@@ -148,20 +148,17 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
 
     The DAG grows forward from u.  The 0-grassmannians are closed under
     out-edges (test_grassmannian_closure_exhaustive: k <= 4, length <= 6),
-    so to_core reads every target and raises NotGrassmannian for one that
-    is not.  A target is kept when its core fits inside the core of w,
-    which is exactly when it lies below w; HasseDAG then drops what does
-    not reach w.  At most cap vertices are expanded, one out_edges each.
+    so to_core reads u, w and every target, and raises NotGrassmannian for
+    one that is not.  A target is kept when its core fits inside the core
+    of w, which is exactly when it lies below w; HasseDAG then drops what
+    does not reach w.  At most cap vertices are expanded, one out_edges each.
     """
     if u.k != w.k:
         raise KMismatch(f"k mismatch: {u.k} vs {w.k}")
-    if not is_grassmannian(u):
-        raise NotGrassmannian(f"{u.text()} is not 0-grassmannian")
-    if not is_grassmannian(w):
-        raise NotGrassmannian(f"{w.text()} is not 0-grassmannian")
-    budget = length_affine(w) - length_affine(u)
+    bottom = to_core(u).partition  # before w's, so a bad u is named first
     top = to_core(w).partition
-    if budget < 0 or not _fits(to_core(u).partition, top):
+    budget = length_affine(w) - length_affine(u)
+    if budget < 0 or not _fits(bottom, top):
         return HasseDAG(u, w, -1, None)
     expanded = 0
 

@@ -2,9 +2,10 @@
 
 One verb per computation: finite intervals, affine intervals, the weak
 order, k-Schur matrices, the core bijection, embeddings and relation
-sweeps.  Human output mirrors the index notation of the underlying
-functions (F[1,2,1], S[2,1], windows as [-6,8,...]); --json emits the
-versioned structured schema instead.
+sweeps.  Each verb computes one record.  --json prints it under the
+versioned schema; human output is printed from the same record, in the
+index notation of the underlying functions (F[1,2,1], S[2,1], windows as
+[-6,8,...]).  main is the one place that prints.
 
 Exit codes: 0 ok, 2 argument parse error, 3 precondition violation,
 4 enumeration cap exceeded, 5 verification failed (embed --verify,
@@ -23,36 +24,22 @@ from .errors import BruhatKitError, CapExceeded, VerificationFailed
 SCHEMA = "bruhat-kit/1"
 
 
-def _fmt_terms(letter: str, terms: dict) -> str:
-    if not terms:
-        return "0"
-    bits = []
-    for idx, c in sorted(terms.items(), reverse=True):
-        body = f"{letter}[" + ",".join(str(x) for x in idx) + "]"
-        if bits:
-            sign = " + " if c > 0 else " - "
-            mag = abs(c)
-            bits.append(sign + (body if mag == 1 else f"{mag}{body}"))
+def _seq(xs, brackets: str = "[]") -> str:
+    return brackets[0] + ",".join(str(x) for x in xs) + brackets[1]
+
+
+def _fmt(fn: dict) -> str:
+    """A function's to_json() form as text, 2F[2,1] - F[1,1,1]; basis s prints as S."""
+    letter = "S" if fn["basis"] == "s" else fn["basis"]
+    text = ""
+    for term in fn["terms"]:
+        c = term["coeff"]
+        body = ("" if abs(c) == 1 else str(abs(c))) + letter + _seq(term["index"])
+        if text:
+            text += (" + " if c > 0 else " - ") + body
         else:
-            if c == 1:
-                bits.append(body)
-            elif c == -1:
-                bits.append("-" + body)
-            else:
-                bits.append(f"{c}{body}")
-    return "".join(bits)
-
-
-def fmt_qsym(q: qsym.QuasiSymFn) -> str:
-    return _fmt_terms(q.basis, q.terms)
-
-
-def fmt_sym(f: qsym.SymFn) -> str:
-    return _fmt_terms(f.basis.upper() if f.basis == "s" else f.basis, f.terms)
-
-
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True)
+            text = ("-" if c < 0 else "") + body
+    return text or "0"
 
 
 def _parse_partition(text: str) -> tuple:
@@ -69,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="verb", required=True)
 
     def verb(name: str, summary: str, cap: bool = False) -> argparse.ArgumentParser:
-        """A verb's parser with --json, and with --cap when it enumerates."""
+        """A verb's parser with --json, and with --cap when it enumerates; it sets
+        run, which computes the verb's record, and show, which formats it as text."""
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=globals()[f"_run_{name}"], show=globals()[f"_show_{name}"])
         p.add_argument("--json", action="store_true", help="emit structured output")
         if cap:
             p.add_argument("--cap", type=int, default=interval.DEFAULT_CAP,
@@ -119,147 +108,141 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(args, payload: dict, human_lines) -> None:
-    if args.json:
-        print(_dump_json({"schema": SCHEMA, **payload}))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _run_rbruhat(args) -> int:
+def _run_rbruhat(args):
     zeta = rbruhat.parse_permutation(args.zeta)
     u, w, r = rbruhat.interval_from_zeta(zeta)
     chains = rbruhat.all_chains(u, w, r, cap=args.cap)
     kf = rbruhat.k_function_r(u, w, r, cap=args.cap)
-    count = len(chains)
-    lines = [f"r = {r}",
-             f"u = {u.one_line()}",
-             f"w = {w.one_line()}",
-             f"chains: {count}",
-             f"K_F = {fmt_qsym(kf)}"]
-    payload = {"verb": "rbruhat", "r": r, "u": list(u.images), "w": list(w.images),
-               "chain_count": count, "K_F": kf.to_json()}
+    record = {"verb": "rbruhat", "r": r, "u": list(u.images), "w": list(w.images),
+              "chain_count": len(chains), "K_F": kf.to_json()}
     if args.chains:
-        rendered = [f"{c.render_steps()}  |  {c.render_word()}" for c in chains]
-        lines += ["chain list:"] + ["  " + s for s in rendered]
-        payload["chains"] = [list(c.steps) for c in chains]
+        record["chains"] = [list(c.steps) for c in chains]
     if args.schur:
-        ks = qsym.schur_expand(kf)
-        lines.append(f"K_S = {fmt_sym(ks)}")
-        payload["K_schur"] = ks.to_json()
-    _emit(args, payload, lines)
-    return 0
+        record["K_schur"] = qsym.schur_expand(kf).to_json()
+    return record, None
 
 
-def _run_affine(args) -> int:
+def _show_rbruhat(rec, args):
+    u = rbruhat.FinitePermutation(rec["u"])
+    lines = [f"r = {rec['r']}", f"u = {u.one_line()}",
+             f"w = {rbruhat.FinitePermutation(rec['w']).one_line()}",
+             f"chains: {rec['chain_count']}", f"K_F = {_fmt(rec['K_F'])}"]
+    if args.chains:
+        lines.append("chain list:")
+        for steps in rec["chains"]:
+            chain = rbruhat.SchubertChain(u, tuple(steps))
+            lines.append(f"  {chain.render_steps()}  |  {chain.render_word()}")
+    if args.schur:
+        lines.append(f"K_S = {_fmt(rec['K_schur'])}")
+    return lines
+
+
+def _run_affine(args):
     u = affineperm.parse_window(args.u, args.k)
     w = affineperm.parse_window(args.w, args.k)
-    rank = affineperm.length_affine(w) - affineperm.length_affine(u)
+    record = {"verb": "affine", "rank": affineperm.length_affine(w) - affineperm.length_affine(u)}
     if args.count_only:
-        count = affinegraph.path_count(u, w, cap=args.cap)
+        record["path_count"] = affinegraph.path_count(u, w, cap=args.cap)
     else:
         found = affinegraph.paths(u, w, cap=args.cap)
-        count = len(found)
-    lines = [f"rank = {rank}", f"paths: {count}"]
-    payload = {"verb": "affine", "rank": rank, "path_count": count}
-    if not args.count_only:
         kf = qsym.f_sum(p.labels for p in found)
-        ks = qsym.schur_expand(kf)
-        lines += [f"K_F = {fmt_qsym(kf)}", f"K_S = {fmt_sym(ks)}"]
-        payload["K_F"] = kf.to_json()
-        payload["K_schur"] = ks.to_json()
-    _emit(args, payload, lines)
-    return 0
+        record.update(path_count=len(found), K_F=kf.to_json(),
+                      K_schur=qsym.schur_expand(kf).to_json())
+    return record, None
 
 
-def _run_weak(args) -> int:
+def _show_affine(rec, args):
+    lines = [f"rank = {rec['rank']}", f"paths: {rec['path_count']}"]
+    if not args.count_only:
+        lines += [f"K_F = {_fmt(rec['K_F'])}", f"K_S = {_fmt(rec['K_schur'])}"]
+    return lines
+
+
+def _run_weak(args):
     u = affineperm.parse_window(args.u, args.k)
     w = affineperm.parse_window(args.w, args.k)
     km = kschur.k_function_weak(u, w)
-    kf = qsym.m_to_f(km)
-    ks = qsym.schur_expand(km)
-    lines = [f"K_M = {fmt_qsym(km)}",
-             f"K_F = {fmt_qsym(kf)}",
-             f"K_S = {fmt_sym(ks)}"]
-    payload = {"verb": "weak", "K_M": km.to_json(), "K_F": kf.to_json(),
-               "K_schur": ks.to_json()}
-    _emit(args, payload, lines)
-    return 0
+    return {"verb": "weak", "K_M": km.to_json(), "K_F": qsym.m_to_f(km).to_json(),
+            "K_schur": qsym.schur_expand(km).to_json()}, None
 
 
-def _run_kschur(args) -> int:
+def _show_weak(rec, args):
+    return [f"K_M = {_fmt(rec['K_M'])}", f"K_F = {_fmt(rec['K_F'])}",
+            f"K_S = {_fmt(rec['K_schur'])}"]
+
+
+def _run_kschur(args):
     km = kschur.k_matrix(args.k, args.degree)
-    lines = []
-    payload = {"verb": "kschur", "k": args.k, "degree": args.degree}
+    record = {"verb": "kschur", "k": args.k, "degree": args.degree}
     if args.matrix or not args.invert:
-        lines.append("rows: h index, columns: 0-grassmannian windows")
-        header = "            " + "  ".join(u.text() for u in km.columns)
-        lines.append(header)
-        matrix = []
-        for lam in km.rows:
-            row = [km.entry(lam, u) for u in km.columns]
-            matrix.append(row)
-            label = "h[" + ",".join(str(x) for x in lam) + "]"
-            lines.append(f"{label:<12}" + "  ".join(str(c) for c in row))
-        payload["rows"] = [list(lam) for lam in km.rows]
-        payload["columns"] = [u.text() for u in km.columns]
-        payload["matrix"] = matrix
+        record["rows"] = [list(lam) for lam in km.rows]
+        record["columns"] = [u.text() for u in km.columns]
+        record["matrix"] = [[km.entry(lam, u) for u in km.columns] for lam in km.rows]
     if args.invert:
-        inv = []
         inverse = kschur.invert_k_matrix(km)
-        for lam, u in zip(km.rows, km.columns):
-            hexp = inverse[lam]
-            lines.append(f"S^({args.k}){u.text()} = {fmt_sym(hexp)}")
-            inv.append({"window": u.text(), "h_expansion": hexp.to_json()})
-        payload["inverted"] = inv
-    _emit(args, payload, lines)
-    return 0
+        record["inverted"] = [{"window": u.text(), "h_expansion": inverse[lam].to_json()}
+                              for lam, u in zip(km.rows, km.columns)]
+    return record, None
 
 
-def _run_core(args) -> int:
+def _show_kschur(rec, args):
+    lines = []
+    if "matrix" in rec:
+        lines += ["rows: h index, columns: 0-grassmannian windows",
+                  "            " + "  ".join(rec["columns"])]
+        lines += [f"{'h' + _seq(lam):<12}" + "  ".join(str(c) for c in row)
+                  for lam, row in zip(rec["rows"], rec["matrix"])]
+    return lines + [f"S^({rec['k']}){inv['window']} = {_fmt(inv['h_expansion'])}"
+                    for inv in rec.get("inverted", ())]
+
+
+def _run_core(args):
     if (args.u is None) == (args.mu is None):
         raise BruhatKitError("pass exactly one of --u or --mu")
     if args.u is not None:
         u = affineperm.parse_window(args.u, args.k)
         core = affineperm.to_core(u)
-        lines = [f"{args.k + 1}-core: {core.text()}"]
     else:
-        mu = _parse_partition(args.mu)
-        core = affineperm.CorePartition(mu, args.k + 1)
+        core = affineperm.CorePartition(_parse_partition(args.mu), args.k + 1)
         u = affineperm.from_core(core, args.k)
-        lines = [f"window: {u.text()}"]
-    payload = {"verb": "core", "window": u.text(), "core": list(core.partition)}
-    _emit(args, payload, lines)
-    return 0
+    return {"verb": "core", "window": u.text(), "core": list(core.partition)}, None
 
 
-def _run_embed(args) -> int:
+def _show_core(rec, args):
+    if args.u is not None:
+        return [f"{args.k + 1}-core: {_seq(rec['core'], '()')}"]
+    return [f"window: {rec['window']}"]
+
+
+def _run_embed(args):
     zeta = rbruhat.parse_permutation(args.zeta)
     x, y, r = rbruhat.interval_from_zeta(zeta)
     data = embedding.build_embedding(x, y, r)
-    u_prime = "[" + ",".join(str(x) for x in data.u_prime_window) + "]"
-    lines = [f"k = {data.k}", f"s = {data.s}", f"u' = {u_prime}",
-             f"u = {data.u.text()}", f"v = {data.v.text()}"]
-    payload = {"verb": "embed", "k": data.k, "s": data.s,
-               "u": data.u.text(), "v": data.v.text(),
-               "u_prime": list(data.u_prime_window)}
+    record = {"verb": "embed", "k": data.k, "s": data.s,
+              "u": data.u.text(), "v": data.v.text(),
+              "u_prime": list(data.u_prime_window)}
+    if not args.verify:
+        return record, None
+    report = embedding.verify_embedding(data, cap=args.cap)
+    record.update(chains_mapped=report.chains_total,
+                  all_nonzero=report.mapped_nonzero == report.chains_total,
+                  K_domination=report.dominated)
+    if report.ok:
+        return record, None
+    return record, VerificationFailed(f"embedding verification failed: {report.failures}")
+
+
+def _show_embed(rec, args):
+    lines = [f"k = {rec['k']}", f"s = {rec['s']}", f"u' = {_seq(rec['u_prime'])}",
+             f"u = {rec['u']}", f"v = {rec['v']}"]
     if args.verify:
-        report = embedding.verify_embedding(data, cap=args.cap)
-        lines += [f"chains_mapped: {report.chains_total}",
-                  f"all_nonzero: {report.mapped_nonzero == report.chains_total}",
-                  f"K_domination: {report.dominated}"]
-        payload.update({"chains_mapped": report.chains_total,
-                        "all_nonzero": report.mapped_nonzero == report.chains_total,
-                        "K_domination": report.dominated})
-        if not report.ok:
-            _emit(args, payload, lines)
-            raise VerificationFailed(f"embedding verification failed: {report.failures}")
-    _emit(args, payload, lines)
-    return 0
+        lines += [f"chains_mapped: {rec['chains_mapped']}",
+                  f"all_nonzero: {rec['all_nonzero']}",
+                  f"K_domination: {rec['K_domination']}"]
+    return lines
 
 
-def _run_relations(args) -> int:
+def _run_relations(args):
     rng = random.Random(args.seed)
     tags = [t.strip() for t in args.rules.split(",") if t.strip()]
     if args.k < 1:
@@ -271,51 +254,49 @@ def _run_relations(args) -> int:
     for tag in tags:
         if tag not in affinegraph.ALL_RULES:
             raise BruhatKitError(f"unknown rule tag {tag!r}")
-    lines = []
     results = []
-    ok = True
     for tag in tags:
         res = affinegraph.sweep_relation(tag, args.k, args.sweep, rng)
-        ok = ok and res.ok
-        lines.append(f"{tag}: checked {res.checked}, nonzero {res.nonzero}, "
-                     f"failures {len(res.failures)}")
         results.append({"rule": tag, "checked": res.checked,
                         "nonzero": res.nonzero, "failures": len(res.failures)})
-    payload = {"verb": "relations", "k": args.k, "seed": args.seed,
-               "trials": args.sweep, "results": results, "ok": ok}
-    _emit(args, payload, lines + [f"ok: {ok}"])
-    if not ok:
-        failed = ", ".join(r["rule"] for r in results if r["failures"])
-        raise VerificationFailed(f"relations failed: {failed}")
-    return 0
+    failed = [r["rule"] for r in results if r["failures"]]
+    record = {"verb": "relations", "k": args.k, "seed": args.seed,
+              "trials": args.sweep, "results": results, "ok": not failed}
+    if not failed:
+        return record, None
+    return record, VerificationFailed(f"relations failed: {', '.join(failed)}")
 
 
-_RUNNERS = {
-    "rbruhat": _run_rbruhat,
-    "affine": _run_affine,
-    "weak": _run_weak,
-    "kschur": _run_kschur,
-    "core": _run_core,
-    "embed": _run_embed,
-    "relations": _run_relations,
-}
+def _show_relations(rec, args):
+    return [f"{r['rule']}: checked {r['checked']}, nonzero {r['nonzero']}, "
+            f"failures {r['failures']}" for r in rec["results"]] + [f"ok: {rec['ok']}"]
 
 
 def main(argv=None) -> int:
+    """Run one verb and print its record: as JSON under --json, else as text.
+
+    A failed verification still prints its record, then exits 5.
+    """
     args = build_parser().parse_args(argv)
     try:
         if "cap" in args and args.cap < 0:
             raise BruhatKitError(f"--cap must be nonnegative, got {args.cap}")
-        return _RUNNERS[args.verb](args)
+        record, failure = args.run(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except VerificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (BruhatKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if args.json:
+        print(json.dumps({"schema": SCHEMA, **record}, sort_keys=True))
+    else:
+        for line in args.show(record, args):
+            print(line)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return 5
+    return 0
 
 
 if __name__ == "__main__":

@@ -171,15 +171,15 @@ def invert_k_matrix(km: KMatrix) -> dict[Partition, qsym.SymFn]:
     if not km.is_unitriangular():
         raise NotUnitriangular(f"Pieri matrix at k={km.k}, degree {km.degree} "
                                "is not unitriangular")
-    exprs: dict[Partition, qsym.SymFn] = {}
+    exprs: dict[Partition, dict[Partition, int]] = {}
     for i, lam in enumerate(km.rows):
-        expr = qsym.SymFn("h", {lam: 1})
+        expr = {lam: 1}
         for j in range(i):
-            c = km.entry(lam, km.columns[j])
-            if c:
-                expr = expr - c * exprs[km.rows[j]]
+            if c := km.entry(lam, km.columns[j]):
+                for mu, d in exprs[km.rows[j]].items():
+                    expr[mu] = expr.get(mu, 0) - c * d
         exprs[lam] = expr
-    return exprs
+    return {lam: qsym.SymFn("h", expr) for lam, expr in exprs.items()}
 
 
 def kschur_in_h(u: AffinePermutation) -> qsym.SymFn:

@@ -14,10 +14,6 @@ M = "M"
 F = "F"
 
 
-def _clean(terms: dict) -> dict:
-    return {idx: c for idx, c in terms.items() if c != 0}
-
-
 class _Combination:
     """A finitely supported integer combination in one basis.
 
@@ -31,8 +27,11 @@ class _Combination:
         if basis not in self._bases:
             raise ValueError(f"unknown {self._kind} basis {basis!r}")
         self.basis = basis
-        self.terms = _clean({self._index(i) if i else (): int(c)
-                             for i, c in (terms or {}).items()})
+        out: dict = {}
+        for i, c in (terms or {}).items():  # indices that canonicalize alike add up
+            i = self._index(i) if i else ()
+            out[i] = out.get(i, 0) + int(c)
+        self.terms = {i: c for i, c in out.items() if c}
 
     def coeff(self, index) -> int:
         return self.terms.get(tuple(index), 0)

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -356,3 +357,29 @@ def test_interval_dag_exhaustive_against_bruteforce():
                 empty += not expect
                 equal += u == w
     assert (pairs, related, empty, equal) == (938, 547, 391, 73)
+
+
+@pytest.mark.parametrize("tag, letters", [
+    ("B1", ((1, 2), (3, 4))),   # neither a<c<b<d nor b=c
+    ("B2", ((1, 2), (3, 4))),   # no matching residues
+    ("C1", (1, 2, 3)),          # d-a is not k+1
+    ("C2", (1, 2, 6)),          # d-a is not below k+1
+    ("E1", (1, 3, 2, 4)),       # not increasing
+    ("E2", (1, 3, 2, 4)),
+    ("F", (1, 2, 6)),           # c-a is not below k+1
+    ("X1", (1, 2, 3, 4)),       # d is not a mod k+1
+    ("X2", (1, 2, 3, 4)),
+    ("X3", (1, 2, 3, 4)),       # c is not b mod k+1
+    ("X4", (1, 2, 3, 4)),
+    ("X5", (1, 2, 3, 4)),       # d is not b mod k+1
+    ("X6", (1, 2, 3, 4)),
+])
+def test_relation_words_reject_letters_off_the_pattern(tag, letters):
+    pattern = rf"^{tag}: need .* " + re.escape(f"(letters {letters})") + "$"
+    with pytest.raises(PatternMismatch, match=pattern):
+        affinegraph._relation_words(tag, 3, letters)
+
+
+def test_relation_words_reject_an_unknown_tag():
+    with pytest.raises(PatternMismatch, match="unknown relation tag 'Z'"):
+        affinegraph._relation_words("Z", 3, (1, 2, 3, 4))

@@ -21,6 +21,13 @@ def test_rbruhat_human(capsys):
     assert "S[3,1] + S[2,2] + S[2,1,1]" in out
 
 
+def test_identity_start_prints_as_1(capsys):
+    # zeta = 2 1 gives u = 1, the identity, which has no stored images
+    assert run(capsys, "rbruhat", "--zeta", "2 1", "--chains", "--schur") == (
+        0, "r = 1\nu = 1\nw = 2 1\nchains: 1\nK_F = F[1]\nchain list:\n"
+           "  t(1,2)  |  u12\nK_S = S[1]\n", "")
+
+
 def test_rbruhat_chain_listing(capsys):
     code, out, _ = run(capsys, "rbruhat", "--zeta", "3 6 2 5 4 1", "--chains")
     assert code == 0
@@ -331,3 +338,14 @@ def test_kschur_invert_builds_the_matrix_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "kschur", "--k", "3", "--degree", "5", "--matrix", "--invert")
     assert code == 0 and out.count("S^(3)") == 5
     assert builds == [(3, 5)]
+
+
+@pytest.mark.parametrize("u, w, named", [
+    ("[2,1,3]", "[-3,4,5]", "[2,1,3]"),
+    ("[0,2,4]", "[2,1,3]", "[2,1,3]"),
+    ("[2,1,3]", "[1,3,2]", "[2,1,3]"),  # both bad: u is named
+])
+@pytest.mark.parametrize("count_only", [[], ["--count-only"]])
+def test_affine_names_the_first_window_that_is_not_grassmannian(capsys, u, w, named, count_only):
+    assert run(capsys, "affine", "--k", "2", "--u", u, "--w", w, *count_only) == \
+        (3, "", f"error: {named} is not 0-grassmannian\n")

@@ -132,3 +132,20 @@ def test_distinct_rearrangements_match_permutations():
             listed = set(itertools.permutations(lam))
             assert combinat.distinct_rearrangements(lam) == listed, lam
             assert combinat.rearrangement_count(lam) == len(listed), lam
+
+
+def test_as_partition_strips_trailing_zeros_and_rejects_bad_parts():
+    assert combinat.as_partition([3, 1, 1, 0, 0]) == (3, 1, 1)
+    assert combinat.as_partition(iter([0])) == ()
+    with pytest.raises(ValueError, match=r"must be positive: \(2, -1\)"):
+        combinat.as_partition((2, -1))
+    with pytest.raises(ValueError, match=r"must be positive: \(0, 1\)"):
+        combinat.as_partition((0, 1))
+    with pytest.raises(ValueError, match=r"must weakly decrease: \(1, 2\)"):
+        combinat.as_partition((1, 2))
+
+
+def test_as_composition_keeps_the_order_and_rejects_a_zero_part():
+    assert combinat.as_composition(iter([1, 3, 2])) == (1, 3, 2)
+    with pytest.raises(ValueError, match=r"composition parts must be positive: \(1, 0, 2\)"):
+        combinat.as_composition((1, 0, 2))

@@ -1,8 +1,8 @@
 """Byte-for-byte golden outputs of the command line.
 
 tests/golden/corpus.json holds, for each command below, its argv, its
-exit code and its exact --json stdout.  Record it again only when a
-change of output is intended:
+exit code and its exact stdout, in --json and in human form.  Record it
+again only when a change of output is intended:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -56,7 +56,13 @@ def golden_commands() -> list[list[str]]:
     commands += [["relations", "--k", "4", "--sweep", "40", "--seed", "7", "--json"]]
     # rank 14: 982 terms in each basis, so cross-term sums in f_to_m and m_to_f show
     commands += [["weak", "--k", "4", "--u", "[1,2,3,4,5]", "--w", "[11,2,3,-1,0]", "--json"]]
-    return commands
+    # human output, printed from the same record as --json
+    human = [argv for argv in readme_commands() if not (argv[0] == "relations" and "1000" in argv)]
+    human += [["rbruhat", "--zeta", PADDED_ZETA, "--chains", "--schur"],
+              ["kschur", "--k", "3", "--degree", "7", "--matrix", "--invert"],
+              ["relations", "--k", "3", "--sweep", "25", "--seed", "1", "--rules", ALL_RULES],
+              ["core", "--k", "1", "--mu", "2"], ["core", "--k", "2", "--u", "[2,1,3]"]]
+    return commands + human
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -367,3 +367,15 @@ def test_weak_walks_replay_the_cover_list_in_ascending_i():
             assert [u.window for u in us] == sorted(layer)
             for u in us:
                 assert [(i, v.window) for i, v in kschur.weak_covers(u)] == weak_cover_list(u.window)
+
+
+def test_invert_k_matrix_is_a_left_inverse_of_the_matrix():
+    # s_u = sum_lam c_lam h_lam and h_lam = sum_v M[lam, v] s_v, so for the row
+    # mu of column u, sum_lam c_lam M[lam, v] is 1 at v = u and 0 elsewhere
+    for k, top in ((2, 9), (3, 9), (4, 8), (5, 8)):
+        for degree in range(top + 1):
+            km = kschur.k_matrix(k, degree)
+            inverse = kschur.invert_k_matrix(km)
+            for mu, u in zip(km.rows, km.columns):
+                assert [sum(c * km.entry(lam, v) for lam, c in inverse[mu].terms.items())
+                        for v in km.columns] == [int(v == u) for v in km.columns]

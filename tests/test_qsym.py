@@ -203,3 +203,16 @@ def test_json_form_sorted_decreasing_lex():
     out = q.to_json()
     assert out["basis"] == "F"
     assert [t["index"] for t in out["terms"]] == [[4], [2, 2], [1, 2, 1]]
+
+
+def test_indices_that_canonicalize_alike_add_their_coefficients():
+    assert qsym.SymFn("s", {(2, 1): 1, (2, 1, 0): 2}).terms == {(2, 1): 3}
+    assert qsym.SymFn("s", {(2, 1): 1, (2, 1, 0): -1}).terms == {}
+    assert qsym.SymFn("h", {(): 1, (0,): 2, (0, 0): -1}).terms == {(): 2}
+
+
+def test_unknown_basis_is_rejected():
+    with pytest.raises(ValueError, match="unknown symmetric basis 'F'"):
+        qsym.SymFn("F", {(1,): 1})
+    with pytest.raises(ValueError, match="unknown quasisymmetric basis 's'"):
+        qsym.QuasiSymFn("s", {(1,): 1})

@@ -28,3 +28,20 @@ def test_package_imports_only_the_standard_library():
     outside = [(name, module) for name, module in imported
                if module.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_only_cli_main_prints():
+    # human and --json output leave through cli.main, the one print site
+    printing, in_main = [], 0
+    for path in FILES:
+        tree = ast.parse(path.read_text())
+        main = {id(node) for top in tree.body
+                if path.name == "cli.py" and isinstance(top, ast.FunctionDef) and top.name == "main"
+                for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                if id(node) in main:
+                    in_main += 1
+                else:
+                    printing.append(f"{path.name}:{node.lineno}")
+    assert printing == [] and in_main >= 2
