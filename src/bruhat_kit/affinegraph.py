@@ -17,7 +17,7 @@ of (k+1)-cores, so the DAG grows forward from u and keeps only targets
 whose core fits inside the core of w; out_edges runs once per vertex.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import qsym
 from .affineperm import AffinePermutation, is_grassmannian, length_affine, to_core
@@ -57,13 +57,10 @@ def apply_word(u: AffinePermutation, word):
     return x
 
 
-@dataclass(frozen=True)
-class AffineEdge:
+class AffineEdge(namedtuple("AffineEdge", "a b target")):
     """One multigraph edge: the chosen representative pair and its target."""
 
-    a: int
-    b: int
-    target: AffinePermutation
+    __slots__ = ()
 
     @property
     def label(self) -> int:
@@ -118,12 +115,10 @@ def out_edges(u: AffinePermutation) -> list[AffineEdge]:
     return edges
 
 
-@dataclass(frozen=True)
-class AffinePath:
+class AffinePath(namedtuple("AffinePath", "start edges")):
     """A chain in the multigraph: start vertex plus edges in order."""
 
-    start: AffinePermutation
-    edges: tuple[AffineEdge, ...]
+    __slots__ = ()
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -168,7 +163,8 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
         if expanded > cap:
             raise CapExceeded(f"interval vertex cap {cap} exceeded "
                               f"at depth {depth} of rank {budget}")
-        edges = sorted(out_edges(x), key=lambda e: (e.a, e.b))
+        # one vertex's edges have distinct (a, b), so targets are never compared
+        edges = sorted(out_edges(x))
         return [(e, e.b, e.target) for e in edges if _fits(to_core(e.target).partition, top)]
 
     return HasseDAG(u, w, budget, steps)
@@ -230,18 +226,12 @@ X_RULES = ("X1", "X2", "X3", "X4", "X5", "X6")
 ALL_RULES = ("A", "B1", "B2", "C1", "C2", "D", "E1", "E2", "F") + X_RULES
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of evaluating both sides of a relation at one point."""
+class VerificationReport(namedtuple("VerificationReport",
+                                     "tag u letters lhs_word rhs_word lhs rhs holds")):
+    """Outcome of evaluating both sides of a relation at one point; rhs_word,
+    lhs and rhs may be None (no right word, or a side that vanishes)."""
 
-    tag: str
-    u: AffinePermutation
-    letters: tuple
-    lhs_word: tuple
-    rhs_word: tuple | None
-    lhs: AffinePermutation | None
-    rhs: AffinePermutation | None
-    holds: bool
+    __slots__ = ()
 
 
 def _relation_words(tag: str, k: int, letters):
@@ -447,16 +437,10 @@ def sample_letters(tag: str, k: int, rng):
     raise PatternMismatch(f"unknown relation tag {tag!r}")
 
 
-@dataclass
-class SweepResult:
-    """Aggregate of a randomized relation sweep."""
+class SweepResult(namedtuple("SweepResult", "tag k trials checked nonzero failures")):
+    """Aggregate of a randomized relation sweep; failures lists VerificationReports."""
 
-    tag: str
-    k: int
-    trials: int
-    checked: int = 0
-    nonzero: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -488,13 +472,12 @@ def sweep_relation(tag: str, k: int, trials: int, rng) -> SweepResult:
     the patterns are sparse; `checked` reports what was actually
     recorded.  A VerificationReport is built only for a failing draw.
     """
-    result = SweepResult(tag, k, trials)
     if not rule_sampleable(tag, k):
-        return result
+        return SweepResult(tag, k, trials, 0, 0, [])
     pool = _grassmannian_pool(k, rng)
     budget = _DRAWS_PER_TRIAL * trials
-    draws = 0
-    while result.checked < trials and draws < budget:
+    draws, checked, nonzero, failures = 0, 0, 0, []
+    while checked < trials and draws < budget:
         draws += 1
         letters = sample_letters(tag, k, rng)
         u = rng.choice(pool)
@@ -506,12 +489,12 @@ def sweep_relation(tag: str, k: int, trials: int, rng) -> SweepResult:
             continue
         if lhs is None and rhs is None and tag not in ZERO_RULES:
             continue
-        result.checked += 1
+        checked += 1
         if lhs is not None or rhs is not None:
-            result.nonzero += 1
+            nonzero += 1
         if not holds:
-            result.failures.append(check_relation(tag, u, letters))
-    return result
+            failures.append(check_relation(tag, u, letters))
+    return SweepResult(tag, k, trials, checked, nonzero, failures)
 
 
 def find_x_counterexample(tag: str, k: int, rng) -> VerificationReport | None:

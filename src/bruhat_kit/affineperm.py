@@ -14,7 +14,7 @@ partition's beads also give its hooks, so the core test and the k-bounded
 rows are read off them.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import combinat
@@ -162,20 +162,19 @@ def is_grassmannian(u: AffinePermutation) -> bool:
     return all((-w) % n == n - 1 - i for i, (_, w) in enumerate(tops))
 
 
-@dataclass(frozen=True)
-class CorePartition:
+class CorePartition(namedtuple("CorePartition", "partition modulus")):
     """A partition with no hook of length n, the modulus: no bead b > n has a gap at b - n."""
 
-    partition: Partition
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "partition", combinat.as_partition(self.partition))
-        if self.modulus < 2:
+    def __new__(cls, partition, modulus: int):
+        self = super().__new__(cls, combinat.as_partition(partition), modulus)
+        if modulus < 2:
             raise ValueError("modulus must be at least 2")
         beads = set(_beads(self.partition))
-        if any(b > self.modulus and b - self.modulus not in beads for b in beads):
-            raise NotACore(f"{self.text()} has a hook of length {self.modulus}")
+        if any(b > modulus and b - modulus not in beads for b in beads):
+            raise NotACore(f"{self.text()} has a hook of length {modulus}")
+        return self
 
     def text(self) -> str:
         return "(" + ",".join(str(x) for x in self.partition) + ")"

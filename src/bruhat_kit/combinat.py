@@ -107,13 +107,21 @@ def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     cap = n if max_part is None else min(max_part, n)
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return out
+    if n and cap < 1:
+        return []
+    # next partition: drop the trailing 1s, lower the last part, refill greedily under it
+    out, parts, rest = [], [], n
+    while True:
+        while rest:
+            parts.append(min(rest, parts[-1] if parts else cap))
+            rest -= parts[-1]
+        out.append(tuple(parts))
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return out
+        parts[-1] -= 1
+        rest += 1
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:

@@ -7,25 +7,19 @@ shift per position of x, read off x's descent runs, yields a
 to a nonzero path from u, and all images share one endpoint.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from . import affinegraph, qsym, rbruhat
+from . import affinegraph, rbruhat
 from .affineperm import AffinePermutation, is_grassmannian, window_eval
 from .errors import NotGrassmannianResult
 from .interval import DEFAULT_CAP
 from .rbruhat import FinitePermutation, SchubertChain
 
 
-@dataclass(frozen=True)
-class EmbeddingData:
-    """The affine picture of one finite interval."""
+class EmbeddingData(namedtuple("EmbeddingData", "k s u v source_interval u_prime_window")):
+    """The affine picture of one finite interval; source_interval is (x, y, r)."""
 
-    k: int
-    s: int
-    u: AffinePermutation
-    v: AffinePermutation
-    source_interval: tuple[FinitePermutation, FinitePermutation, int]
-    u_prime_window: tuple[int, ...]
+    __slots__ = ()
 
 
 def build_embedding(x: FinitePermutation, y: FinitePermutation, r: int) -> EmbeddingData:
@@ -78,19 +72,12 @@ def map_chain(chain: SchubertChain, e: EmbeddingData):
     return affinegraph.AffinePath(e.u, tuple(edges))
 
 
-@dataclass
-class EmbeddingReport:
+class EmbeddingReport(namedtuple("EmbeddingReport", "data chains_total mapped_nonzero "
+                                   "common_endpoint k_schubert k_affine dominated failures")):
     """Edge-by-edge verification of one embedding; a failure names the
     finite edge (vertex, (a, b)) where an image was zero or differed."""
 
-    data: EmbeddingData
-    chains_total: int
-    mapped_nonzero: int
-    common_endpoint: bool
-    k_schubert: qsym.QuasiSymFn
-    k_affine: qsym.QuasiSymFn
-    dominated: bool
-    failures: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

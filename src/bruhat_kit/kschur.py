@@ -6,7 +6,7 @@ grassmannian.  Pieri steps are weak chains whose generator labels are
 cyclically increasing on the clock with hours 0..k.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
@@ -110,8 +110,7 @@ def kbounded_of(u: AffinePermutation) -> Partition:
     return kbounded_from_core(to_core(u))
 
 
-@dataclass
-class KMatrix:
+class KMatrix(namedtuple("KMatrix", "k degree rows columns entries")):
     """Counts of iterated Pieri chains: row lam, column u, entry K(lam, u).
 
     Rows are the k-bounded partitions of the degree; columns are the
@@ -119,11 +118,7 @@ class KMatrix:
     by the core correspondence, which makes the matrix unitriangular.
     """
 
-    k: int
-    degree: int
-    rows: list[Partition]
-    columns: list[AffinePermutation]
-    entries: dict[tuple[Partition, AffinePermutation], int]
+    __slots__ = ()
 
     def entry(self, lam: Partition, u: AffinePermutation) -> int:
         return self.entries.get((tuple(lam), u), 0)

@@ -16,7 +16,7 @@ operator words follow the right-to-left convention, so the displayed
 word lists the last step first.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import qsym
 from .errors import CapExceeded, EmptyInterval, IdentityInput
@@ -131,12 +131,10 @@ def apply_u(u: FinitePermutation, a: int, b: int, r: int):
     return swap_values(u, a, b)
 
 
-@dataclass(frozen=True)
-class SchubertChain:
+class SchubertChain(namedtuple("SchubertChain", "start steps")):
     """A saturated r-Bruhat chain: start point plus value pairs in application order."""
 
-    start: FinitePermutation
-    steps: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def labels(self) -> tuple[int, ...]:

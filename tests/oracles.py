@@ -4,7 +4,8 @@ Polynomials are dicts from exponent tuples (one entry per variable
 x_1..x_N) to integer coefficients; permutations are image tuples of
 1..n.  Schubert polynomials come from divided differences
 (Lascoux-Schutzenberger): S_{w0} = x^delta and S_{w s_i} = d_i S_w when
-w(i) > w(i+1).  Schur polynomials come from semistandard tableaux.
+w(i) > w(i+1).  Schur polynomials come from semistandard tableaux, and
+Schur functions in the h basis from the Jacobi-Trudi determinant.
 Compositions are tuples, listed by their first part and compared by
 block sums, with no descent sets.  Affine permutations are plain windows
 (u(1), ..., u(k+1)), evaluated position by position.  Hook lengths are
@@ -13,7 +14,7 @@ arm + leg + 1, counted cell by cell.
 
 from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def divided_difference(f: dict, i: int) -> dict:
@@ -137,6 +138,18 @@ def partitions(n: int, largest: int | None = None):
     for first in range(min(n, largest or n), 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
+
+
+def schur_in_h(lam: tuple) -> dict:
+    """s_lam as {mu: c} in the h basis by Jacobi-Trudi, det(h_{lam_i - i + j}),
+    expanded over the permutations of the rows; h_0 = 1 and h_m = 0 for m < 0."""
+    out = {}
+    for sigma in permutations(range(len(lam))):
+        parts = [lam[i] - i + j for i, j in enumerate(sigma)]
+        if min(parts, default=0) >= 0:
+            mu = tuple(sorted((p for p in parts if p), reverse=True))
+            out[mu] = out.get(mu, 0) + (-1) ** inversions(sigma)
+    return {mu: c for mu, c in out.items() if c}
 
 
 def schubert_times_schur(u: tuple, w: tuple, r: int) -> dict:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 import shlex
@@ -230,8 +229,8 @@ def test_exit_code_cap(capsys):
 
 def test_failed_embedding_verification_exits_5(capsys, monkeypatch):
     verify = embedding.verify_embedding
-    monkeypatch.setattr(embedding, "verify_embedding", lambda data, cap: dataclasses.replace(
-        verify(data, cap=cap), dominated=False, failures=["forced"]))
+    monkeypatch.setattr(embedding, "verify_embedding", lambda data, cap: verify(
+        data, cap=cap)._replace(dominated=False, failures=["forced"]))
     code, out, err = run(capsys, "embed", "--zeta", "3 6 2 5 4 1", "--verify")
     assert code == 5 and "K_domination: False" in out
     assert err == "error: embedding verification failed: ['forced']\n"
@@ -257,6 +256,12 @@ def test_kschur_verb(capsys):
     assert code == 0
     assert "S^(2)[2,4,0] = h[2,1]" in out
     assert "S^(2)[4,0,2] = -h[2,1] + h[1,1,1]" in out
+
+
+def test_kschur_with_many_parts(capsys):
+    # one row of 1200 parts at k = 1: listing the partitions must not recurse per part
+    code, out, _ = run(capsys, "kschur", "--k", "1", "--degree", "1200")
+    assert code == 0 and "[1201,-1198]" in out
 
 
 @pytest.mark.parametrize("argv, passing_cap", [

@@ -4,7 +4,8 @@ import pytest
 
 from bruhat_kit import combinat
 from bruhat_kit.errors import EmptyChain
-from oracles import compositions, refines_by_blocks, ssyt_count_bruteforce, weakly_increasing_runs
+from oracles import (compositions, partitions, refines_by_blocks, ssyt_count_bruteforce,
+                     weakly_increasing_runs)
 
 
 def test_refines_examples():
@@ -114,10 +115,18 @@ def test_partitions_of():
     assert combinat.partitions_of(3) == [(3,), (2, 1), (1, 1, 1)]
     assert combinat.partitions_of(0) == [()]
     assert combinat.partitions_of(4, 2) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert combinat.partitions_of(1500, 1) == [(1,) * 1500]  # no recursion per part
     for n in range(7):
         ps = combinat.partitions_of(n)
         assert ps == sorted(ps, reverse=True)
         assert len(set(ps)) == len(ps)
+
+
+def test_partitions_of_matches_the_recursive_oracle():
+    for n in range(21):
+        assert combinat.partitions_of(n) == list(partitions(n))
+        for max_part in range(1, n + 1):
+            assert combinat.partitions_of(n, max_part) == list(partitions(n, max_part))
 
 
 def test_conjugate_involution():

@@ -1,8 +1,8 @@
 """Byte-for-byte golden outputs of the command line.
 
 tests/golden/corpus.json holds, for each command below, its argv, its
-exit code and its exact stdout, in --json and in human form.  Record it
-again only when a change of output is intended:
+exit code and its exact stdout and stderr, in --json and in human form.
+Record it again only when a change of output is intended:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -62,19 +62,23 @@ def golden_commands() -> list[list[str]]:
               ["kschur", "--k", "3", "--degree", "7", "--matrix", "--invert"],
               ["relations", "--k", "3", "--sweep", "25", "--seed", "1", "--rules", ALL_RULES],
               ["core", "--k", "1", "--mu", "2"], ["core", "--k", "2", "--u", "[2,1,3]"]]
-    return commands + human
+    # cap errors: the chain cap, and the vertex cap with the depth it stopped at
+    capped = [["rbruhat", "--zeta", "3 6 2 5 4 1", "--cap", "7", "--json"]]
+    capped += [argv + ["--cap", "14", "--json"] for argv in readme_commands()
+               if argv[0] == "affine" and "--count-only" in argv]
+    return commands + human + capped
 
 
-def run_cli(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @functools.cache
-def recorded() -> dict[tuple[str, ...], tuple[int, str]]:
-    return {tuple(case["argv"]): (case["exit"], case["stdout"])
+def recorded() -> dict[tuple[str, ...], tuple[int, str, str]]:
+    return {tuple(case["argv"]): (case["exit"], case["stdout"], case["stderr"])
             for case in json.loads(CORPUS.read_text())}
 
 
@@ -94,8 +98,8 @@ def test_output_matches_corpus(argv):
 def record() -> None:
     corpus = []
     for argv in COMMANDS:
-        code, stdout = run_cli(argv)
-        corpus.append({"argv": argv, "exit": code, "stdout": stdout})
+        code, stdout, stderr = run_cli(argv)
+        corpus.append({"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr})
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
     print(f"{len(corpus)} outputs recorded in {CORPUS}")
 

@@ -7,7 +7,7 @@ import pytest
 from bruhat_kit import affineperm, combinat, kschur, qsym
 from bruhat_kit.affineperm import AffinePermutation, length_affine
 from bruhat_kit.errors import MOutOfRange, NotGrassmannian, NotUnitriangular
-from oracles import compositions, grassmannian_windows, weak_step
+from oracles import compositions, grassmannian_windows, schur_in_h, weak_step
 
 
 def test_weak_covers_examples():
@@ -274,6 +274,16 @@ def test_invert_k_matrix_matches_kschur_in_h():
             for lam, u in zip(km.rows, km.columns):
                 assert inverse[lam] == kschur.kschur_in_h(u)
     assert kschur.kschur_in_h(AffinePermutation.identity(3)).terms == {(): 1}
+    # for k >= degree the k-Schur function is the Schur function: Jacobi-Trudi
+    rows = 0
+    for degree in range(8):
+        for k in (degree, degree + 1):
+            if k >= 1:
+                inverse = kschur.invert_k_matrix(kschur.k_matrix(k, degree))
+                for lam in combinat.partitions_of(degree):
+                    assert inverse[lam].terms == schur_in_h(lam), (k, lam)
+                    rows += 1
+    assert rows == 89
 
 
 def test_grassmannians_of_length_matches_kbounded_count():
