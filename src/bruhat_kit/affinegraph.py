@@ -40,10 +40,19 @@ def is_bruhat_cover(u: AffinePermutation, a: int, b: int) -> bool:
 
 
 def apply_t(u: AffinePermutation, a: int, b: int):
-    """Right multiplication by t(a,b) when it is a 0-Bruhat cover, else None."""
+    """Right multiplication by t(a,b) when it is a 0-Bruhat cover, else None.
+    Reads u(i) = window[(i-1) mod (k+1)] + (k+1) floor((i-1)/(k+1)) off the window."""
     _check_pair(u.k, a, b)
-    if not (u(a) <= 0 < u(b)) or not is_bruhat_cover(u, a, b):
+    n, window = u.k + 1, u.window
+    lo = window[(a - 1) % n] + (a - 1) // n * n
+    if lo > 0:
         return None
+    hi = window[(b - 1) % n] + (b - 1) // n * n
+    if hi <= 0:  # lo <= 0 < hi, so only the interior is left to test
+        return None
+    for i in range(a, b - 1):  # i + 1 runs over the positions between a and b
+        if lo < window[i % n] + i // n * n < hi:
+            return None
     return u.right_transpose(a, b)
 
 
@@ -234,85 +243,91 @@ class VerificationReport(namedtuple("VerificationReport",
     __slots__ = ()
 
 
-def _relation_words(tag: str, k: int, letters):
-    """(lhs_word, rhs_word, u_condition) for a rule; validates the letters."""
-    n = k + 1
+def _bad(tag: str, letters, msg: str):
+    raise PatternMismatch(f"{tag}: {msg} (letters {letters})")
 
-    def bad(msg):
-        raise PatternMismatch(f"{tag}: {msg} (letters {letters})")
 
-    if tag == "A":
-        (a, b), (c, d) = letters
-        if len({x % n for x in (a, b, c, d)}) != 4:
-            bad("residues must be distinct")
-        return ((a, b), (c, d)), ((c, d), (a, b)), None
-    if tag == "B1":
-        (a, b), (c, d) = letters
-        if not (a < c < b < d or (b == c and d - a > n)):
-            bad("need a<c<b<d, or b=c with d-a>k+1")
-        return ((a, b), (c, d)), ((c, d), (a, b)), None
+# Word builders, one per letter shape: (tag, k+1, letters) -> (lhs_word,
+# rhs_word, u_condition), once the letters fit the rule's pattern.
+
+def _pair_words(tag: str, n: int, letters):
+    (a, b), (c, d) = letters
     if tag == "B2":
-        (a, b), (c, d) = letters
-        if not ((a % n == c % n and b <= d)
-                or (b % n == d % n and c <= a)):
-            bad("need matching residues with the stated inequality")
+        if not ((a % n == c % n and b <= d) or (b % n == d % n and c <= a)):
+            _bad(tag, letters, "need matching residues with the stated inequality")
         return ((a, b), (c, d)), None, None
+    if tag == "A" and len({x % n for x in (a, b, c, d)}) != 4:
+        _bad(tag, letters, "residues must be distinct")
+    if tag == "B1" and not (a < c < b < d or (b == c and d - a > n)):
+        _bad(tag, letters, "need a<c<b<d, or b=c with d-a>k+1")
+    return ((a, b), (c, d)), ((c, d), (a, b)), None
+
+
+def _triple_words(tag: str, n: int, letters):
+    """C1 and C2 name their letters (a, b, d), F names them (a, b, c)."""
+    a, b, c = letters
     if tag == "C1":
-        a, b, d = letters
-        if d - a != n:
-            bad("need d-a=k+1")
-        return ((a, b), (b, d)), ((a, b), (b - n, a)), None
+        if c - a != n:
+            _bad(tag, letters, "need d-a=k+1")
+        return ((a, b), (b, c)), ((a, b), (b - n, a)), None
     if tag == "C2":
-        a, b, d = letters
-        if not (a < b < d and d - a < n):
-            bad("need a<b<d with d-a<k+1")
-        return ((a, b), (b, d)), ((b, d), (a, b)), None
+        if not (a < b < c and c - a < n):
+            _bad(tag, letters, "need a<b<d with d-a<k+1")
+        return ((a, b), (b, c)), ((b, c), (a, b)), None
+    if not (a < b < c and c - a < n):
+        _bad(tag, letters, "need a<b<c with c-a<k+1")
+    return ((b, c), (a, b), (b, c)), ((a, b), (b, c), (a, b)), None
+
+
+def _four_words(tag: str, n: int, letters):
+    a, b, c, d = letters
     if tag == "D":
-        a, b, c, d = letters
         if not (a < b < c < d and b % n == c % n
                 and d % n == a % n and (b - a) + (d - c) == n):
-            bad("need matched residues with gap sum k+1")
+            _bad(tag, letters, "need matched residues with gap sum k+1")
         return ((a, b), (c, d)), ((d - n, c), (b - n, a)), None
-    if tag in ("E1", "E2"):
-        a, b, c, d = letters
-        if not a < b < c < d:
-            bad("need a<b<c<d")
-        if tag == "E1":
-            return ((b, c), (c, d), (a, c)), ((b, d), (a, b), (b, c)), None
-        return ((a, c), (c, d), (b, c)), ((b, c), (a, b), (b, d)), None
-    if tag == "F":
-        a, b, c = letters
-        if not (a < b < c and c - a < n):
-            bad("need a<b<c with c-a<k+1")
-        return ((b, c), (a, b), (b, c)), ((a, b), (b, c), (a, b)), None
+    if not a < b < c < d:
+        _bad(tag, letters, "need a<b<c<d")
+    if tag == "E1":
+        return ((b, c), (c, d), (a, c)), ((b, d), (a, b), (b, c)), None
+    return ((a, c), (c, d), (b, c)), ((b, c), (a, b), (b, d)), None
 
-    # X rules share the two-pair shape with a gap sum r
+
+def _x_words(tag: str, n: int, letters):
+    """The X rules share the two-pair shape with a gap sum r."""
     a, b, c, d = letters
     if not a < b < c < d:
-        bad("need a<b<c<d")
+        _bad(tag, letters, "need a<b<c<d")
     r = (b - a) + (d - c)
     lhs = ((a, b), (c, d))
     if tag in ("X1", "X2"):
         if not (r < n and d % n == a % n):
-            bad("need r<k+1 and d = a mod k+1")
+            _bad(tag, letters, "need r<k+1 and d = a mod k+1")
         if tag == "X1":
             return lhs, ((d, c + r), (b - r, a)), lambda u: u(c) <= 0 and u(d) <= 0
         return lhs, ((c, d), (b - r, b)), lambda u: u(d) > 0
     if tag in ("X3", "X4"):
         if not (r < n and b % n == c % n):
-            bad("need r<k+1 and b = c mod k+1")
+            _bad(tag, letters, "need r<k+1 and b = c mod k+1")
         if tag == "X3":
             return lhs, ((d - r, d), (a, b)), lambda u: u(a + r) <= 0
         return lhs, ((d - r, c), (b, a + r)), lambda u: u(b) > 0 and u(a + r) > 0
     if tag == "X5":
         if not (b % n == d % n and b - a > d - c):
-            bad("need b = d mod k+1 and b-a > d-c")
+            _bad(tag, letters, "need b = d mod k+1 and b-a > d-c")
         return lhs, ((c, d), (a, b + c - d)), lambda u: u(d - b + a) > 0
-    if tag == "X6":
-        if not (b % n == d % n and b - a < d - c):
-            bad("need b = d mod k+1 and b-a < d-c")
-        return lhs, ((c, d - b + a), (a, b)), lambda u: u(a) <= 0
-    raise PatternMismatch(f"unknown relation tag {tag!r}")
+    if not (b % n == d % n and b - a < d - c):
+        _bad(tag, letters, "need b = d mod k+1 and b-a < d-c")
+    return lhs, ((c, d - b + a), (a, b)), lambda u: u(a) <= 0
+
+
+def _relation_words(tag: str, k: int, letters):
+    """(lhs_word, rhs_word, u_condition) for a rule; validates the letters."""
+    _, _, words, shape = _rule(tag)
+    try:
+        return words(tag, k + 1, letters)
+    except (TypeError, ValueError):  # the letters are not integers in the rule's shape
+        raise PatternMismatch(f"{tag}: need letters {shape} (letters {letters})") from None
 
 
 def check_relation(tag: str, u: AffinePermutation, letters,
@@ -343,98 +358,129 @@ def _sides(tag: str, u: AffinePermutation, lhs_word, rhs_word):
 
 
 def rule_sampleable(tag: str, k: int) -> bool:
-    """Whether the rule's letter pattern can be instantiated at this k."""
-    if tag == "A":
-        return k >= 3  # four distinct residues
-    if tag in ("B1", "C2", "E1", "E2", "F") or tag in X_RULES:
-        return k >= 2  # each pattern needs a span of at least 2 that is at most k
-    return k >= 1
+    """Whether the rule's letter pattern can be instantiated at this k.  An
+    unknown tag passes, so that drawing its letters raises PatternMismatch."""
+    return k >= (_RULES[tag][0] if tag in _RULES else 1)
 
 
 def sample_letters(tag: str, k: int, rng):
-    """Random letters fitting a rule's pattern, or None when k is too small.
-
-    Every draw fits _relation_words's pattern: A redraws until the residues
-    differ; B1 puts c inside (a, b) below d, or c = b with d - a >= k + 2;
-    B2 shifts a (or b) by m(k+1) to c (or d); C1 sets d = a + k + 1; in C2,
-    E1, E2 and F the gaps are positive and C2's and F's sum to at most k;
-    D's c < d holds because its first gap is below k + 1, and its residues
-    and gap sum k + 1 hold by construction; X1-X4 shift a to d (or b to c)
-    by m(k+1) and draw gaps summing to r <= k, so b < c; X5 and X6 shift b
-    to d and draw d - c <= k on the side of b - a that the rule asks for.
-    """
-    n = k + 1
+    """Random letters fitting a rule's pattern, or None when k is too small;
+    the comment on each sampler says why its draws fit _relation_words."""
     if not rule_sampleable(tag, k):
         return None
-    a = rng.randint(-n, n)  # drawn for A too, which redraws it, to keep the RNG stream
-    if tag == "A":
-        while True:
-            a = rng.randint(-n, n)
-            b = a + rng.randint(1, k)
-            c = rng.randint(-n, n)
-            d = c + rng.randint(1, k)
-            if len({x % n for x in (a, b, c, d)}) == 4:
-                return ((a, b), (c, d))
-    if tag == "B1":
-        if rng.random() < 0.5:
-            gab = rng.randint(2, k)
-            b = a + gab
-            c = rng.randint(a + 1, b - 1)
-            d = c + rng.randint(b - c + 1, k)
-            return ((a, b), (c, d))
-        gab = rng.randint(2, k)
-        b = a + gab
-        gcd = rng.randint(n + 1 - gab, k)
-        return ((a, b), (b, b + gcd))
-    if tag == "B2":
+    _, draw, _, _ = _rule(tag)
+    n = k + 1
+    return draw(rng.randint(-n, n), k, n, rng)
+
+
+# Samplers by rule pattern: (a, k, k+1, rng) -> letters.  Every draw starts with
+# a = rng.randint(-(k+1), k+1) before the sampler runs; A redraws it.
+
+def _draw_a(a, k, n, rng):  # residues redrawn until they differ
+    while True:
+        a = rng.randint(-n, n)
         b = a + rng.randint(1, k)
-        if rng.random() < 0.5:
-            c = a + rng.randint(0, 2) * n
-            d = rng.randint(max(c + 1, b), c + k)
+        c = rng.randint(-n, n)
+        d = c + rng.randint(1, k)
+        if len({x % n for x in (a, b, c, d)}) == 4:
             return ((a, b), (c, d))
-        d = b - rng.randint(0, 2) * n
-        c = rng.randint(d - k, min(a, d - 1))
-        return ((a, b), (c, d))
-    if tag == "C1":
-        return (a, a + rng.randint(1, k), a + n)
-    if tag in ("C2", "F"):
-        gab = rng.randint(1, k - 1)
-        gbc = rng.randint(1, k - gab)
-        return (a, a + gab, a + gab + gbc)
-    if tag == "D":
-        gab = rng.randint(1, k)
-        m = rng.randint(1, 2)
-        b = a + gab
-        return (a, b, b + m * n, a + (m + 1) * n)
-    if tag in ("E1", "E2"):
-        gab = rng.randint(1, k - 1)
-        gbc = rng.randint(1, k - gab)
-        gcd = rng.randint(1, k - gbc)
-        return (a, a + gab, a + gab + gbc, a + gab + gbc + gcd)
-    if tag in ("X1", "X2"):
-        gab = rng.randint(1, k - 1)
-        gdc = rng.randint(1, k - gab)
-        d = a + rng.randint(1, 2) * n
-        return (a, a + gab, d - gdc, d)
-    if tag in ("X3", "X4"):
-        gab = rng.randint(1, k - 1)
-        gcd = rng.randint(1, k - gab)
-        b = a + gab
-        c = b + rng.randint(1, 2) * n
-        return (a, b, c, c + gcd)
-    if tag == "X5":
-        gab = rng.randint(2, k)
-        gdc = rng.randint(1, gab - 1)
-        b = a + gab
-        d = b + rng.randint(1, 2) * n
-        return (a, b, d - gdc, d)
-    if tag == "X6":
-        gab = rng.randint(1, k - 1)
-        gdc = rng.randint(gab + 1, k)
-        b = a + gab
-        d = b + rng.randint(1, 2) * n
-        return (a, b, d - gdc, d)
-    raise PatternMismatch(f"unknown relation tag {tag!r}")
+
+
+def _draw_b1(a, k, n, rng):  # c inside (a, b) below d, or c = b and d - a >= k + 2
+    if rng.random() < 0.5:
+        b = a + rng.randint(2, k)
+        c = rng.randint(a + 1, b - 1)
+        return ((a, b), (c, c + rng.randint(b - c + 1, k)))
+    b = a + rng.randint(2, k)
+    return ((a, b), (b, b + rng.randint(n + 1 - (b - a), k)))
+
+
+def _draw_b2(a, k, n, rng):  # a (or b) shifted by m(k+1) to c (or d)
+    b = a + rng.randint(1, k)
+    if rng.random() < 0.5:
+        c = a + rng.randint(0, 2) * n
+        return ((a, b), (c, rng.randint(max(c + 1, b), c + k)))
+    d = b - rng.randint(0, 2) * n
+    return ((a, b), (rng.randint(d - k, min(a, d - 1)), d))
+
+
+def _draw_c1(a, k, n, rng):  # d = a + k + 1
+    return (a, a + rng.randint(1, k), a + n)
+
+
+def _draw_c2_f(a, k, n, rng):  # positive gaps summing to at most k
+    b = a + rng.randint(1, k - 1)
+    return (a, b, b + rng.randint(1, k - (b - a)))
+
+
+def _draw_d(a, k, n, rng):  # residues and gap sum k + 1 built in; b - a <= k gives c < d
+    b = a + rng.randint(1, k)
+    m = rng.randint(1, 2)
+    return (a, b, b + m * n, a + (m + 1) * n)
+
+
+def _draw_e(a, k, n, rng):  # positive gaps
+    b = a + rng.randint(1, k - 1)
+    c = b + rng.randint(1, k - (b - a))
+    return (a, b, c, c + rng.randint(1, k - (c - b)))
+
+
+def _draw_x12(a, k, n, rng):  # a shifted by m(k+1) to d; gaps sum to r <= k, so b < c
+    b = a + rng.randint(1, k - 1)
+    gdc = rng.randint(1, k - (b - a))
+    d = a + rng.randint(1, 2) * n
+    return (a, b, d - gdc, d)
+
+
+def _draw_x34(a, k, n, rng):  # b shifted by m(k+1) to c; gaps sum to r <= k
+    b = a + rng.randint(1, k - 1)
+    gcd = rng.randint(1, k - (b - a))
+    c = b + rng.randint(1, 2) * n
+    return (a, b, c, c + gcd)
+
+
+def _draw_x5(a, k, n, rng):  # b shifted by m(k+1) to d; d - c < b - a <= k
+    b = a + rng.randint(2, k)
+    gdc = rng.randint(1, b - a - 1)
+    d = b + rng.randint(1, 2) * n
+    return (a, b, d - gdc, d)
+
+
+def _draw_x6(a, k, n, rng):  # b shifted by m(k+1) to d; b - a < d - c <= k
+    b = a + rng.randint(1, k - 1)
+    gdc = rng.randint(b - a + 1, k)
+    d = b + rng.randint(1, 2) * n
+    return (a, b, d - gdc, d)
+
+
+# tag: (lowest k, sampler, word builder, shape of the letters).  A needs four
+# distinct residues; a pattern with a span of at least 2 (and at most k) needs k >= 2.
+_PAIRS, _FOUR = "((a, b), (c, d))", "(a, b, c, d)"
+_RULES = {
+    "A": (3, _draw_a, _pair_words, _PAIRS),
+    "B1": (2, _draw_b1, _pair_words, _PAIRS),
+    "B2": (1, _draw_b2, _pair_words, _PAIRS),
+    "C1": (1, _draw_c1, _triple_words, "(a, b, d)"),
+    "C2": (2, _draw_c2_f, _triple_words, "(a, b, d)"),
+    "D": (1, _draw_d, _four_words, _FOUR),
+    "E1": (2, _draw_e, _four_words, _FOUR),
+    "E2": (2, _draw_e, _four_words, _FOUR),
+    "F": (2, _draw_c2_f, _triple_words, "(a, b, c)"),
+    "X1": (2, _draw_x12, _x_words, _FOUR),
+    "X2": (2, _draw_x12, _x_words, _FOUR),
+    "X3": (2, _draw_x34, _x_words, _FOUR),
+    "X4": (2, _draw_x34, _x_words, _FOUR),
+    "X5": (2, _draw_x5, _x_words, _FOUR),
+    "X6": (2, _draw_x6, _x_words, _FOUR),
+}
+
+
+def _rule(tag: str):
+    """(lowest k, sampler, word builder, shape of the letters) of a rule."""
+    try:
+        return _RULES[tag]
+    except KeyError:
+        raise PatternMismatch(f"unknown relation tag {tag!r}") from None
 
 
 class SweepResult(namedtuple("SweepResult", "tag k trials checked nonzero failures")):
@@ -474,14 +520,16 @@ def sweep_relation(tag: str, k: int, trials: int, rng) -> SweepResult:
     """
     if not rule_sampleable(tag, k):
         return SweepResult(tag, k, trials, 0, 0, [])
+    _, draw, words, _ = _rule(tag)
+    n = k + 1
     pool = _grassmannian_pool(k, rng)
     budget = _DRAWS_PER_TRIAL * trials
     draws, checked, nonzero, failures = 0, 0, 0, []
     while checked < trials and draws < budget:
         draws += 1
-        letters = sample_letters(tag, k, rng)
+        letters = draw(rng.randint(-n, n), k, n, rng)  # as sample_letters draws them
         u = rng.choice(pool)
-        lhs_word, rhs_word, u_cond = _relation_words(tag, k, letters)
+        lhs_word, rhs_word, u_cond = words(tag, n, letters)
         if u_cond is not None and not u_cond(u):
             continue
         lhs, rhs, holds = _sides(tag, u, lhs_word, rhs_word)
@@ -511,11 +559,13 @@ def find_x_counterexample(tag: str, k: int, rng) -> VerificationReport | None:
         raise PatternMismatch(f"{tag} is not an X rule")
     if not rule_sampleable(tag, k):
         return None
+    _, draw, words, _ = _rule(tag)
+    n = k + 1
     pool = _grassmannian_pool(k, rng)
     for _ in range(_X_ATTEMPTS):
-        letters = sample_letters(tag, k, rng)
+        letters = draw(rng.randint(-n, n), k, n, rng)
         u = rng.choice(pool)
-        lhs_word, rhs_word, u_cond = _relation_words(tag, k, letters)
+        lhs_word, rhs_word, u_cond = words(tag, n, letters)
         if u_cond(u):
             continue
         _, _, holds = _sides(tag, u, lhs_word, rhs_word)

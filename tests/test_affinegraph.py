@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from collections import Counter
@@ -8,7 +9,8 @@ import pytest
 from bruhat_kit import affinegraph, affineperm, kschur, qsym
 from bruhat_kit.affineperm import AffinePermutation
 from bruhat_kit.errors import BadPair, CapExceeded, PatternMismatch
-from oracles import dual_pieri_windows, grassmannian_windows, zero_bruhat_edges
+from oracles import (dual_pieri_windows, grassmannian_windows, times_t, window_at,
+                     zero_bruhat_edges)
 
 U41 = affineperm.parse_window("[-6,8,3,-1,4,13]")
 W41 = affineperm.parse_window("[8,-6,-2,9,13,-1]")
@@ -306,6 +308,51 @@ def test_sampled_letters_fit_their_pattern():
                     affinegraph._relation_words(tag, k, affinegraph.sample_letters(tag, k, rng))
 
 
+# SHA-256 prefixes of repr([(200 sample_letters draws, next getrandbits(32))
+# for k = 2..6]), each k from random.Random(1000 * k + rule index)
+SAMPLER_STREAMS = {
+    "A": "9eebbafa02b02d5f",
+    "B1": "0ac58ede44b7a52c",
+    "B2": "1876141283198564",
+    "C1": "6fea14ee2ed6a645",
+    "C2": "970e0f91840c02ff",
+    "D": "a8b1d7130e5783a6",
+    "E1": "9ed00cc757a5d132",
+    "E2": "238dae4791cf2f01",
+    "F": "eab7a9db8561b030",
+    "X1": "3ccf2da7aad5ef72",
+    "X2": "f21a7068d6fe286d",
+    "X3": "b30756af560f98f5",
+    "X4": "196264825ee319aa",
+    "X5": "a251b2ce7a6a90f4",
+    "X6": "ea0b6eb5d8d51657",
+}
+
+
+def test_sampler_streams_are_pinned():
+    # the golden relations records cannot see a reordered draw in a rule
+    # whose sweep checks nothing, such as D at k = 4 and 5
+    for i, tag in enumerate(affinegraph.ALL_RULES):
+        streams = []
+        for k in range(2, 7):
+            rng = random.Random(1000 * k + i)
+            draws = [affinegraph.sample_letters(tag, k, rng) for _ in range(200)]
+            streams.append((draws, rng.getrandbits(32)))
+        assert hashlib.sha256(repr(streams).encode()).hexdigest()[:16] == SAMPLER_STREAMS[tag], tag
+
+
+def test_sweeps_end_on_the_pinned_generator_state():
+    # a sweep draws its letters without sample_letters, so its stream is
+    # pinned too, for every rule at k = 2..5 (D at k = 4 and 5 checks nothing)
+    got = []
+    for i, tag in enumerate(affinegraph.ALL_RULES):
+        for k in range(2, 6):
+            rng = random.Random(100 * k + i)
+            res = affinegraph.sweep_relation(tag, k, 2, rng)
+            got.append((tag, k, res.checked, res.nonzero, len(res.failures), rng.getrandbits(32)))
+    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "9a40ef2fd24e38ed"
+
+
 def test_sweep_reports_a_failing_draw(monkeypatch):
     # with every word acting as the identity, B1's zero claim fails at each draw
     monkeypatch.setattr(affinegraph, "apply_word", lambda u, word: u)
@@ -336,6 +383,43 @@ def test_out_edges_match_the_definition_on_a_box():
         for _, u in box:
             got = sorted((e.a, e.b, e.target.window) for e in affinegraph.out_edges(u))
             assert got == sorted(zero_bruhat_edges(u.window)), u
+
+
+def test_apply_t_matches_the_window_oracle_on_a_box():
+    # every pair in a word of sampled letters starts in [-4(k+1), 4(k+1)]:
+    # the samplers draw a in [-(k+1), k+1] and stay within 3(k+1) of it
+    steps = covers = 0
+    for k, box in grassmannian_box().items():
+        n = k + 1
+        for _, u in box:
+            w = u.window
+            for a in range(-4 * n, 4 * n + 1):
+                for b in range(a + 1, a + n):
+                    lo, hi = window_at(w, a), window_at(w, b)
+                    cover = lo <= 0 < hi and not any(lo < window_at(w, i) < hi
+                                                     for i in range(a + 1, b))
+                    got = affinegraph.apply_t(u, a, b)
+                    expect = times_t(w, a, b) if cover else None
+                    assert (got.window if got else None) == expect, (w, a, b)
+                    steps += 1
+                    covers += cover
+                for b in (a, a + n):
+                    with pytest.raises(BadPair):
+                        affinegraph.apply_t(u, a, b)
+    assert (steps, covers) == (7624, 276)
+
+
+def test_a_rejected_step_builds_nothing(monkeypatch):
+    def build(*_):
+        raise AssertionError("a rejected step built a permutation")
+
+    # U41 = [-6,8,3,-1,4,13]: the sign test fails at u(2) = 8 > 0 and at
+    # u(-10) = -4 <= 0 (a Bruhat cover), the cover test at u(4) < u(5) < u(6)
+    cases = [(2, 3), (-11, -10), (4, 6)]
+    assert [affinegraph.is_bruhat_cover(U41, a, b) for a, b in cases] == [False, True, False]
+    monkeypatch.setattr(AffinePermutation, "right_transpose", build)
+    monkeypatch.setattr(AffinePermutation, "__init__", build)
+    assert [affinegraph.apply_t(U41, a, b) for a, b in cases] == [None, None, None]
 
 
 def test_interval_dag_exhaustive_against_bruteforce():
@@ -378,6 +462,20 @@ def test_relation_words_reject_letters_off_the_pattern(tag, letters):
     pattern = rf"^{tag}: need .* " + re.escape(f"(letters {letters})") + "$"
     with pytest.raises(PatternMismatch, match=pattern):
         affinegraph._relation_words(tag, 3, letters)
+
+
+@pytest.mark.parametrize("tag, letters, shape", [
+    ("A", (1, 2, 3), "((a, b), (c, d))"),
+    ("B2", (1, 2), "((a, b), (c, d))"),        # the letters are not pairs
+    ("C1", ((1, 2), (3, 4)), "(a, b, d)"),
+    ("F", (1, 2, 3, 4), "(a, b, c)"),
+    ("D", ((1, 2), (3, 4)), "(a, b, c, d)"),
+    ("X1", (1, 2, 3), "(a, b, c, d)"),
+])
+def test_check_relation_names_the_shape_of_malformed_letters(tag, letters, shape):
+    expect = f"{tag}: need letters {shape} (letters {letters})"
+    with pytest.raises(PatternMismatch, match="^" + re.escape(expect) + "$"):
+        affinegraph.check_relation(tag, U41, letters)
 
 
 def test_relation_words_reject_an_unknown_tag():
