@@ -66,6 +66,10 @@ def golden_commands() -> list[list[str]]:
     capped = [["rbruhat", "--zeta", "3 6 2 5 4 1", "--cap", "7", "--json"]]
     capped += [argv + ["--cap", "14", "--json"] for argv in readme_commands()
                if argv[0] == "affine" and "--count-only" in argv]
+    # the 240-path job over its path cap, a w that is not 0-grassmannian, w below u
+    u41, w41 = "[-6,8,3,-1,4,13]", "[8,-6,-2,9,13,-1]"
+    capped += [["affine", "--k", "5", "--u", u, "--w", w, *cap, "--json"] for u, w, cap in (
+        (u41, w41, ["--cap", "100"]), (u41, "[2,1,3,4,5,6]", []), (w41, u41, []))]
     return commands + human + capped
 
 
