@@ -6,21 +6,22 @@ b for every representative pair (a, b) of a residue class with
 (zero counts as nonpositive).  Distinct representatives of one class
 give parallel edges with distinct labels but the same endpoints.
 
-A vertex's out-edges are read off its window: out_edges builds u(1..2(k+1))
-once, takes each a0's upper shift once, and reads every class's shift
-range and cover test (interval.nothing_between) from that tuple.
+A vertex's out-edges are read off its window: _classes builds u(1..2(k+1))
+once and reads every class's shift range and cover test from that tuple.
 
 Operator words act on the right, so words apply left to right.  Path
 counts, path lists and the K function are read off the interval's Hasse
-DAG (see interval.py).  Among 0-grassmannians the order is containment
-of (k+1)-cores, so the DAG grows forward from u and keeps only targets
-whose core fits inside the core of w; out_edges runs once per vertex.
+DAG (see interval.py), whose vertices are windows.  Among 0-grassmannians
+the order is containment of (k+1)-cores, so the DAG grows forward from u
+and keeps only targets whose core fits inside the core of w; it reads each
+vertex once and tests each distinct target once.
 """
 
 from collections import namedtuple
 
 from . import qsym
-from .affineperm import AffinePermutation, is_grassmannian, length_affine, to_core
+from .affineperm import (AffinePermutation, is_grassmannian, length_affine, to_core,
+                         window_transpose)
 from .errors import BadPair, CapExceeded, KMismatch, NotGrassmannian, PatternMismatch
 from .interval import DEFAULT_CAP, HasseDAG, nothing_between
 from .kschur import random_grassmannian
@@ -76,33 +77,34 @@ class AffineEdge(namedtuple("AffineEdge", "a b target")):
         return self.b
 
 
-def _window_values(u: AffinePermutation) -> tuple:
-    """u(1), ..., u(2(k+1)): every position of a pair (a0, a0 + gap) with
-    1 <= a0 <= k+1 and 0 < gap <= k."""
-    n = u.k + 1
-    return u.window + tuple(v + n for v in u.window)
+def _classes(window: tuple) -> list:
+    """(a0, b0, shifts) for each class of pairs (a0, b0), 1 <= a0 <= k+1 and
+    0 < b0 - a0 <= k, with edges out of the u with this window, by a0, then b0.
 
-
-def _class_edges(u: AffinePermutation, vals: tuple, a0: int, gaps) -> list[AffineEdge]:
-    """The parallel edges of the classes of (a0, a0 + gap), 1 <= a0 <= k+1,
-    gap by gap, each in shift order.
-
-    vals is _window_values(u).  The representatives (a0 + m(k+1), b0 + m(k+1))
-    with u(a0 + m(k+1)) <= 0 < u(b0 + m(k+1)) are the shifts m_lo..m_hi; the
-    range is finite because the entries of each class are unbounded in both
-    directions.  The cover criterion is invariant under shifting both
-    endpoints by k+1, so it is tested once per class, at m = 0.
+    The representatives (a0 + s, b0 + s) with u(a0 + s) <= 0 < u(b0 + s) are
+    the shifts s = m(k+1), m_lo <= m <= m_hi; the range is finite because the
+    entries of each class are unbounded in both directions.  The cover
+    criterion is invariant under shifting both endpoints by k+1, so it is
+    tested once per class, at m = 0, on the values u(1), ..., u(2(k+1)).
     """
-    n = u.k + 1
-    m_hi = (-vals[a0 - 1]) // n
+    n = len(window)
+    vals = window + tuple(v + n for v in window)
+    found = []
+    for a0 in range(1, n + 1):
+        m_hi = (-vals[a0 - 1]) // n
+        for b0 in range(a0 + 1, a0 + n):
+            m_lo = -((vals[b0 - 1] - 1) // n)
+            if m_lo <= m_hi and nothing_between(vals, a0 - 1, b0 - 1):
+                found.append((a0, b0, range(m_lo * n, (m_hi + 1) * n, n)))
+    return found
+
+
+def out_edges(u: AffinePermutation) -> list[AffineEdge]:
+    """Every edge leaving u, class by class (see _classes), each in shift order."""
     edges = []
-    for gap in gaps:
-        b0 = a0 + gap
-        m_lo = -((vals[b0 - 1] - 1) // n)
-        if m_lo > m_hi or not nothing_between(vals, a0 - 1, b0 - 1):
-            continue
+    for a0, b0, shifts in _classes(u.window):
         target = u.right_transpose(a0, b0)
-        edges += [AffineEdge(a0 + m * n, b0 + m * n, target) for m in range(m_lo, m_hi + 1)]
+        edges += [AffineEdge(a0 + s, b0 + s, target) for s in shifts]
     return edges
 
 
@@ -111,17 +113,7 @@ def edge_representatives(u: AffinePermutation, a: int, b: int) -> list[AffineEdg
     n = u.k + 1
     a0 = (a - 1) % n + 1
     _check_pair(u.k, a0, a0 + (b - a))
-    return _class_edges(u, _window_values(u), a0, (b - a,))
-
-
-def out_edges(u: AffinePermutation) -> list[AffineEdge]:
-    """Every edge leaving u, over all residue classes and representatives."""
-    vals = _window_values(u)
-    gaps = range(1, u.k + 1)
-    edges = []
-    for a0 in range(1, u.k + 2):
-        edges += _class_edges(u, vals, a0, gaps)
-    return edges
+    return [e for e in out_edges(u) if e.b - e.a == b - a and (e.a - a0) % n == 0]
 
 
 class AffinePath(namedtuple("AffinePath", "start edges")):
@@ -131,7 +123,7 @@ class AffinePath(namedtuple("AffinePath", "start edges")):
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return tuple(e.label for e in self.edges)
+        return tuple([e.b for e in self.edges])
 
     @property
     def steps(self) -> tuple[tuple[int, int], ...]:
@@ -148,14 +140,15 @@ def _fits(inner, outer) -> bool:
 
 def interval_dag(u: AffinePermutation, w: AffinePermutation,
                  cap: int = DEFAULT_CAP) -> HasseDAG:
-    """The Hasse DAG of [u, w]; steps are AffineEdges labeled b.
+    """The Hasse DAG of [u, w]; vertices are windows, steps AffineEdges labeled b.
 
     The DAG grows forward from u.  The 0-grassmannians are closed under
     out-edges (test_grassmannian_closure_exhaustive: k <= 4, length <= 6),
     so to_core reads u, w and every target, and raises NotGrassmannian for
     one that is not.  A target is kept when its core fits inside the core
-    of w, which is exactly when it lies below w; HasseDAG then drops what
-    does not reach w.  At most cap vertices are expanded, one out_edges each.
+    of w, which is exactly when it lies below w; each distinct target is
+    tested once, and its edges share one AffinePermutation.  HasseDAG then
+    drops what does not reach w.  At most cap vertices are expanded.
     """
     if u.k != w.k:
         raise KMismatch(f"k mismatch: {u.k} vs {w.k}")
@@ -163,7 +156,8 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
     top = to_core(w).partition
     budget = length_affine(w) - length_affine(u)
     if budget < 0 or not _fits(bottom, top):
-        return HasseDAG(u, w, -1, None)
+        return HasseDAG(u.window, w.window, -1, None)
+    below = {}  # target window -> its AffinePermutation if it lies below w, else None
     expanded = 0
 
     def steps(x, depth):
@@ -172,11 +166,18 @@ def interval_dag(u: AffinePermutation, w: AffinePermutation,
         if expanded > cap:
             raise CapExceeded(f"interval vertex cap {cap} exceeded "
                               f"at depth {depth} of rank {budget}")
-        # one vertex's edges have distinct (a, b), so targets are never compared
-        edges = sorted(out_edges(x))
-        return [(e, e.b, e.target) for e in edges if _fits(to_core(e.target).partition, top)]
+        found = []
+        for a0, b0, shifts in _classes(x):
+            y = window_transpose(x, a0, b0)
+            if y not in below:
+                target = AffinePermutation._trusted(y, u.k)
+                below[y] = target if _fits(to_core(target).partition, top) else None
+            if (target := below[y]) is not None:
+                found += [(AffineEdge(a0 + s, b0 + s, target), b0 + s, y) for s in shifts]
+        found.sort()  # by (a, b): one vertex's edges have distinct pairs
+        return found
 
-    return HasseDAG(u, w, budget, steps)
+    return HasseDAG(u.window, w.window, budget, steps)
 
 
 def paths(u: AffinePermutation, w: AffinePermutation,

@@ -90,14 +90,7 @@ class AffinePermutation:
 
     def right_transpose(self, a: int, b: int) -> "AffinePermutation":
         """u * t(a,b), where t(a,b) swaps positions a + m(k+1) and b + m(k+1) for all m."""
-        n = self.k + 1
-        ja, jb = (a - 1) % n, (b - 1) % n  # 0-based window slots of positions a, b
-        if ja == jb:
-            raise BadPair(f"({a}, {b}) lie in one residue class mod {n}")
-        w = list(self.window)
-        # shifting a position by a multiple of n shifts its value by the same amount
-        w[ja], w[jb] = self(b) - (a - 1 - ja), self(a) - (b - 1 - jb)
-        return AffinePermutation._trusted(tuple(w), self.k)
+        return AffinePermutation._trusted(window_transpose(self.window, a, b), self.k)
 
     def right_multiply_s(self, i: int) -> "AffinePermutation":
         """u * s_i without building the generator: s_i = t(i, i+1)."""
@@ -134,6 +127,19 @@ def window_eval(window, i: int) -> int:
     n = len(window)
     j = (i - 1) % n + 1
     return window[j - 1] + (i - j)
+
+
+def window_transpose(window: tuple, a: int, b: int) -> tuple:
+    """The window of u * t(a,b), for the u with this window (see right_transpose)."""
+    n = len(window)
+    ja, jb = (a - 1) % n, (b - 1) % n  # 0-based window slots of positions a, b
+    if ja == jb:
+        raise BadPair(f"({a}, {b}) lie in one residue class mod {n}")
+    # slot ja gets u(b) - (a - 1 - ja): shifting a position by n shifts its value by n
+    shift = (b - jb) - (a - ja)
+    w = list(window)
+    w[ja], w[jb] = window[jb] + shift, window[ja] - shift
+    return tuple(w)
 
 
 def length_affine(u: AffinePermutation) -> int:

@@ -33,8 +33,8 @@ def as_partition(parts) -> Partition:
 
 def as_composition(parts) -> Composition:
     """Validate a composition given as any iterable."""
-    c = tuple(int(x) for x in parts)
-    if any(x <= 0 for x in c):
+    c = tuple(map(int, parts))
+    if c and min(c) <= 0:
         raise ValueError(f"composition parts must be positive: {c}")
     return c
 
@@ -57,10 +57,13 @@ def from_descent_set(mask: int, n: int) -> Composition:
 
 def descent_mask(labels) -> int:
     """The descent set of a label sequence: bit i for labels[i-1] > labels[i]."""
-    mask = 0
-    for i in range(1, len(labels)):
-        if labels[i - 1] > labels[i]:
-            mask |= 1 << i
+    mask, bit, labels = 0, 1, iter(labels)
+    last = next(labels, None)
+    for label in labels:
+        bit <<= 1
+        if last > label:
+            mask |= bit
+        last = label
     return mask
 
 

@@ -9,6 +9,7 @@ import pytest
 from bruhat_kit import affinegraph, affineperm, kschur, qsym
 from bruhat_kit.affineperm import AffinePermutation
 from bruhat_kit.errors import BadPair, CapExceeded, PatternMismatch
+from bruhat_kit.interval import HasseDAG
 from oracles import (dual_pieri_windows, grassmannian_windows, times_t, window_at,
                      zero_bruhat_edges)
 
@@ -124,13 +125,13 @@ def test_rank8_reference_expands_each_vertex_below_w_once(monkeypatch):
     u = AffinePermutation((3, -1, 0, 7, 8, 4))
     w = AffinePermutation((3, -6, -1, 13, 4, 8))
     expanded = []
-    out_edges = affinegraph.out_edges
+    classes = affinegraph._classes  # the DAG's step adapter reads each vertex through it
 
-    def counting_out_edges(x):
+    def counting_classes(x):
         expanded.append(x)
-        return out_edges(x)
+        return classes(x)
 
-    monkeypatch.setattr(affinegraph, "out_edges", counting_out_edges)
+    monkeypatch.setattr(affinegraph, "_classes", counting_classes)
     dag = affinegraph.interval_dag(u, w)
     assert dag.count() == 23898
     assert sum(len(layer) for layer in dag.layers) == 89
@@ -434,13 +435,47 @@ def test_interval_dag_exhaustive_against_bruteforce():
                 assert [tuple((e.a, e.b) for e in walk) for walk in dag.walks()] == expect
                 assert dag.count() == len(expect)
                 assert dag.k_function().terms == brute_k_terms(expect)
-                assert all(affineperm.is_grassmannian(x)
+                # vertices are windows; the validating constructor checks each one
+                assert all(affineperm.is_grassmannian(AffinePermutation(x, u.k))
                            for layer in dag.layers for x in layer)
                 pairs += 1
                 related += bool(expect)
                 empty += not expect
                 equal += u == w
     assert (pairs, related, empty, equal) == (938, 547, 391, 73)
+
+
+def test_dag_steps_are_the_out_edges_below_w_on_a_box(monkeypatch):
+    # every step list the adapter hands HasseDAG, before pruning, against out_edges
+    recorded = []
+
+    class RecordingDAG(HasseDAG):
+        def __init__(self, start, end, rank, out_steps):
+            def recording(x, depth):
+                steps = out_steps(x, depth)
+                recorded.append((x, steps))
+                return steps
+            super().__init__(start, end, rank, out_steps and recording)
+
+    monkeypatch.setattr(affinegraph, "HasseDAG", RecordingDAG)
+    vertices = dropped = 0
+    for box in grassmannian_box().values():
+        for du, u in box:
+            for dw, w in box:
+                if du > dw:
+                    continue
+                top = affineperm.to_core(w).partition
+                recorded.clear()
+                affinegraph.interval_dag(u, w)
+                for x, steps in recorded:
+                    edges = sorted(affinegraph.out_edges(AffinePermutation(x, u.k)))
+                    expect = [e for e in edges
+                              if affinegraph._fits(affineperm.to_core(e.target).partition, top)]
+                    assert [e for e, _, _ in steps] == expect, (x, w)
+                    assert all(e.b == label and e.target.window == y for e, label, y in steps)
+                    vertices += 1
+                    dropped += len(edges) - len(expect)
+    assert (vertices, dropped) == (1944, 2855)
 
 
 @pytest.mark.parametrize("tag, letters", [

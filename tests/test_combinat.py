@@ -158,3 +158,19 @@ def test_as_composition_keeps_the_order_and_rejects_a_zero_part():
     assert combinat.as_composition(iter([1, 3, 2])) == (1, 3, 2)
     with pytest.raises(ValueError, match=r"composition parts must be positive: \(1, 0, 2\)"):
         combinat.as_composition((1, 0, 2))
+    assert combinat.as_composition([]) == ()
+    for bad, message in (((2, -3), "composition parts must be positive: (2, -3)"),
+                         (("1", "x"), "invalid literal for int() with base 10: 'x'")):
+        with pytest.raises(ValueError) as caught:
+            combinat.as_composition(bad)
+        assert str(caught.value) == message
+
+
+def test_descent_mask_matches_its_definition_exhaustively():
+    sequences = 0
+    for length in range(7):
+        for labels in itertools.product(range(4), repeat=length):
+            expect = sum(1 << i for i in range(1, length) if labels[i - 1] > labels[i])
+            assert combinat.descent_mask(labels) == expect, labels
+            sequences += 1
+    assert sequences == (4**7 - 1) // 3

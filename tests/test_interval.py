@@ -33,13 +33,13 @@ def test_cover_rule_matches_the_length_rule_exhaustively():
 
 def test_affine_job_expands_each_vertex_once(monkeypatch, capsys):
     seen = Counter()
-    original = affinegraph.out_edges
+    original = affinegraph._classes  # the DAG's step adapter reads each vertex through it
 
-    def counting(u):
-        seen[u] += 1
-        return original(u)
+    def counting(x):
+        seen[x] += 1
+        return original(x)
 
-    monkeypatch.setattr(affinegraph, "out_edges", counting)
+    monkeypatch.setattr(affinegraph, "_classes", counting)
     assert cli.main(README_240) == 0
     assert "paths: 240" in capsys.readouterr().out
     assert seen and max(seen.values()) == 1
